@@ -17,8 +17,8 @@
 //! * the SoA batch kernel — `CompiledScenario::evaluate_into` into a
 //!   reused buffer versus collecting per-point `PlatformComparison`s, and
 //! * a streamed 1024×1024 (million-point) ratio grid —
-//!   `CompiledScenario::grid_stream` drained block by block, the tile
-//!   kernel end to end with only one row-block resident (`grid_1m_ns`), and
+//!   `CompiledScenario::grid_stream` drained block by block, the batch
+//!   path end to end with only one row-block resident (`grid_1m_ns`), and
 //! * a full-year time-series carbon replay — 8760 hourly intensity steps
 //!   over a cataloged fleet scenario (`replay_year_ns`), the serial loop
 //!   behind `POST /v1/replay`, and
@@ -31,7 +31,8 @@
 //! can track the performance trajectory (`bench_gate` compares a fresh run
 //! against the committed baseline), and asserts the acceptance bars
 //! (≥10x heatmap, ≥5x Monte-Carlo, ≥10x crossover, frontier from ≤20% of
-//! the dense evaluations) unless `GF_BENCH_NO_ASSERT` is set.
+//! the dense evaluations, the 4096-point SoA fill under its absolute
+//! ceiling) unless `GF_BENCH_NO_ASSERT` is set.
 
 use std::time::Duration;
 
@@ -376,7 +377,7 @@ fn main() {
     };
     // Interleaved rounds, best-time quotient: noise can only slow a
     // round down, so min-over-rounds on each side is the cleanest
-    // estimate of kernel capability — what the absolute floor asks (see
+    // estimate of kernel capability (see
     // [`gf_bench::harness::bench_ratio`]).
     let mut soa_buffer = ResultBuffer::new();
     let (aos_collect, soa_kernel, soa_speedup) = bench_ratio(
@@ -403,7 +404,7 @@ fn main() {
         "soa kernel speedup over AoS collect: {soa_speedup:.1}x (best-of-7 interleaved rounds)"
     );
 
-    // --- Streamed million-point grid: the tile kernel end to end. ---
+    // --- Streamed million-point grid: the batch path end to end. ---
     let grid_volumes: Vec<f64> = greenfpga::log_spaced_volumes(1_000, 50_000_000, GRID_1M_SIDE)
         .into_iter()
         .map(|v| v as f64)
@@ -592,21 +593,14 @@ fn main() {
             "frontier evaluated {:.1}% of the dense grid, above the 20% acceptance bar",
             frontier_fraction * 100.0
         );
-        // With the simd tile kernel the shared vector-win floor (see
-        // [`gf_bench::SOA_SPEEDUP_FLOOR`], also enforced by `bench_gate`)
-        // is asserted directly; the branchless scalar fallback clears
-        // ~1.5x, so portable runs assert the old parity bar and leave the
-        // hard floor to the gate over the simd-built CI artifact.
-        let soa_floor = if cfg!(feature = "simd") {
-            gf_bench::SOA_SPEEDUP_FLOOR
-        } else {
-            0.95
-        };
+        // The shared absolute ceiling (see
+        // [`gf_bench::EVALUATE_SOA_NS_CEILING`], also enforced by
+        // `bench_gate`).
+        let soa_ceiling = gf_bench::EVALUATE_SOA_NS_CEILING;
         assert!(
-            soa_speedup >= soa_floor,
-            "SoA kernel speedup {soa_speedup:.2}x below the {soa_floor} floor — the \
-             tile kernel must not lose its vector margin over collecting \
-             per-point comparisons"
+            soa_kernel.median_ns <= soa_ceiling,
+            "4096-point SoA fill took {:.0} ns, above the {soa_ceiling} ns ceiling",
+            soa_kernel.median_ns
         );
         // The wall-clock frontier win is machine-shaped (dense grids
         // parallelize better than refinement waves), so the hard bar is the

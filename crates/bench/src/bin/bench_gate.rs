@@ -20,10 +20,9 @@
 //! * absolute quality floors on the candidate, independent of whatever the
 //!   baseline recorded — a bad baseline must not grandfather a bad kernel
 //!   in (the `soa_speedup: 0.88` episode): the adaptive-frontier evaluation
-//!   budget (`frontier_eval_fraction ≤ 0.2`), the SIMD tile kernel
-//!   beating the AoS collect path by its vector margin (`soa_speedup ≥`
-//!   [`gf_bench::SOA_SPEEDUP_FLOOR`] = 2.0 — the candidate artifact must
-//!   come from a `--features simd` build), the serving soak
+//!   budget (`frontier_eval_fraction ≤ 0.2`), the 4096-point batch fill
+//!   staying under its absolute ceiling (`evaluate_soa_ns ≤`
+//!   [`gf_bench::EVALUATE_SOA_NS_CEILING`]), the serving soak
 //!   holding at least [`gf_bench::SERVE_CONNECTIONS_FLOOR`] verified live
 //!   keep-alive connections (`serve_connections`), and the default-on
 //!   tracing costing at most 3% of serve throughput (`trace_overhead ≥`
@@ -91,7 +90,7 @@ fn run(baseline_path: &str, candidate_path: &str, tolerance: f64) -> Result<bool
         };
         println!("  {key:<40} {base:>14.1} -> {new:>14.1} {unit}  ({ratio:>5.2}x)  {verdict}");
     }
-    // Absolute quality floors, checked on the candidate alone: a regressed
+    // Absolute quality bars, checked on the candidate alone: a regressed
     // committed baseline must not silently lower the bar (the shipped
     // `soa_speedup: 0.88` baseline is exactly the failure this prevents).
     if let Some(fraction) = lookup(&candidate, "frontier_eval_fraction") {
@@ -107,22 +106,19 @@ fn run(baseline_path: &str, candidate_path: &str, tolerance: f64) -> Result<bool
             fraction * 100.0
         );
     }
-    // The floor demands the tile kernel's vector win, not parity (see
-    // [`gf_bench::SOA_SPEEDUP_FLOOR`]): a candidate built without the
-    // `simd` feature, or a kernel change that silently de-vectorizes,
-    // lands well under 2.0 even on a fast runner, while the measured
-    // AVX2 speedup (2.1–2.2x) keeps headroom above the floor.
-    if let Some(soa) = lookup(&candidate, "soa_speedup") {
-        let floor = gf_bench::SOA_SPEEDUP_FLOOR;
-        let verdict = if soa < floor {
+    // The batch fill must stay under its absolute ceiling (see
+    // [`gf_bench::EVALUATE_SOA_NS_CEILING`]), whatever the baseline says.
+    if let Some(soa_ns) = lookup(&candidate, "evaluate_soa_ns") {
+        let ceiling = gf_bench::EVALUATE_SOA_NS_CEILING;
+        let verdict = if soa_ns > ceiling {
             failed = true;
             "REGRESSED"
         } else {
             "ok"
         };
         println!(
-            "  {:<40} {:>32.2}x   {verdict}  (absolute floor {floor})",
-            "soa_speedup (floor)", soa
+            "  {:<40} {soa_ns:>33.1}   {verdict}  (absolute ceiling {ceiling} ns)",
+            "evaluate_soa_ns (ceiling)"
         );
     }
     // The serving soak must keep demonstrating event-loop connection
@@ -408,28 +404,28 @@ mod tests {
     }
 
     #[test]
-    fn soa_speedup_has_an_absolute_floor() {
+    fn evaluate_soa_ns_has_an_absolute_ceiling() {
         let dir = std::env::temp_dir().join("gf_bench_gate_soa_test");
         std::fs::create_dir_all(&dir).unwrap();
         let baseline = dir.join("baseline.json");
         let candidate = dir.join("candidate.json");
-        // The shipped-regression shape: the BASELINE itself is bad, so the
-        // relative comparison is green — the absolute floor must still
-        // fail the candidate.
-        std::fs::write(&baseline, "{\n  \"soa_speedup\": 0.88\n}\n").unwrap();
-        std::fs::write(&candidate, "{\n  \"soa_speedup\": 0.88\n}\n").unwrap();
+        // A bad BASELINE makes the relative comparison green — the
+        // absolute ceiling must still fail the candidate.
+        std::fs::write(&baseline, "{\n  \"evaluate_soa_ns\": 176000\n}\n").unwrap();
+        std::fs::write(&candidate, "{\n  \"evaluate_soa_ns\": 176000\n}\n").unwrap();
         assert!(run(
             baseline.to_str().unwrap(),
             candidate.to_str().unwrap(),
             1.25
         )
         .unwrap());
-        // At or above the floor (and the baseline) passes, with the
-        // measured simd speedups comfortably over it.
-        for passing in ["2.15", "2.05"] {
+        // At or under the ceiling (and within the baseline's tolerance)
+        // passes.
+        std::fs::write(&baseline, "{\n  \"evaluate_soa_ns\": 70000\n}\n").unwrap();
+        for passing in ["84500", "25000"] {
             std::fs::write(
                 &candidate,
-                format!("{{\n  \"soa_speedup\": {passing}\n}}\n"),
+                format!("{{\n  \"evaluate_soa_ns\": {passing}\n}}\n"),
             )
             .unwrap();
             assert!(!run(

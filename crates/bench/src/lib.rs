@@ -9,16 +9,15 @@ pub mod harness;
 
 use greenfpga::{CfpBreakdown, Estimator, EstimatorParams};
 
-/// Absolute floor for the `soa_speedup` metric, shared by the `bench eval`
-/// assertion (simd builds) and `bench_gate`'s candidate check so the two
-/// can never enforce different bars. The SIMD tile kernel turns the SoA
-/// layout into a real vector win — 2.1–2.2x over the AoS collect path on
-/// AVX2 — so the floor demands the speedup, not mere parity: a build that
-/// silently drops back to scalar (broken feature wiring, a de-vectorized
-/// kernel) fails the gate even when both paths got uniformly faster. CI
-/// produces the gated artifact with `--features simd`; the branchless
-/// portable fallback clears ~1.5x and is not held to this bar.
-pub const SOA_SPEEDUP_FLOOR: f64 = 2.0;
+/// Absolute ceiling for the `evaluate_soa_ns` metric (one 4096-point
+/// `evaluate_into` fill, applications 1..=64), shared by the `bench eval`
+/// assertion and `bench_gate`'s candidate check so the two can never
+/// enforce different bars. The closed-form evaluation costs the same at
+/// every application count; a change that brings back per-application
+/// work (or otherwise slows the batch path) lands above the ceiling even
+/// against a stale baseline. Set at the last baseline of the
+/// per-application tile kernel it replaced.
+pub const EVALUATE_SOA_NS_CEILING: f64 = 84_500.0;
 
 /// Absolute floor for the `serve_connections` soak metric: the event-loop
 /// server must demonstrably hold at least this many concurrently-live,

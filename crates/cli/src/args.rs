@@ -303,7 +303,7 @@ COMMON OPTIONS:
 
 SERVE OPTIONS:
   --addr <HOST:PORT>              bind address             (default: 127.0.0.1:7878)
-  --workers <N>                   connection workers       (default: auto)
+  --workers <N>                   offload engine workers   (default: auto)
   --eval-threads <N>              threads per batch eval   (default: 1)
   --cache-capacity <N>            cached scenarios         (default: 64)
   --cache-shards <N>              scenario cache shards    (default: 8)

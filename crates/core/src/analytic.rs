@@ -31,10 +31,10 @@ use crate::{
 /// `flipped(x)` is a monotone predicate over `lo..=hi` — `false` below some
 /// boundary, `true` at and above it (a winner flip, a budget bust, a sign
 /// change). The affine root predicts where the boundary sits, but the root
-/// is computed from multiplied-out coefficients while the kernel
-/// accumulates per application, so the two can disagree by a ulp: seed the
-/// candidate from the prediction, then walk it against the real kernel —
-/// at most a step or two in practice.
+/// is computed from multiplied-out coefficients while the kernel rounds
+/// each lifecycle component separately, so the two can disagree by a ulp:
+/// seed the candidate from the prediction, then walk it against the real
+/// kernel — at most a step or two in practice.
 ///
 /// Returns the first `x` in `lo..=hi` with `flipped(x)`, or `None` when
 /// the predicate never flips in range. Both the crossover searches
@@ -167,11 +167,11 @@ impl CompiledScenario {
     /// compiled coefficients, holding the other two workload parameters at
     /// `base`.
     ///
-    /// The coefficients reproduce [`CompiledScenario::evaluate`]'s
-    /// arithmetic in closed form (the kernel's repeated per-application
-    /// accumulation becomes a multiplication), so evaluating the affine
-    /// model agrees with the kernel to floating-point rounding — a few ulp,
-    /// not bit-identity; golden tests hold the two to ≤1e-9 relative.
+    /// The coefficients are [`CompiledScenario::evaluate`]'s closed form
+    /// multiplied out along `axis` (the kernel scales and sums the six
+    /// lifecycle components separately), so evaluating the affine model
+    /// agrees with the kernel to floating-point rounding — a few ulp, not
+    /// bit-identity; golden tests hold the two to ≤1e-9 relative.
     pub fn totals_affine(&self, axis: SweepAxis, base: OperatingPoint) -> AffineComparison {
         let napps = base.applications as f64;
         let years = base.lifetime_years;

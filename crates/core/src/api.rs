@@ -663,9 +663,9 @@ pub struct ReplayRequest {
     pub series: SeriesRef,
     /// Whether step lookup interpolates between bounding samples.
     pub interpolate: bool,
-    /// How many times the series is stitched end-to-end before the replay
-    /// ([`CarbonIntensitySeries::repeat`]); must not exceed the device
-    /// lifetime in whole years. Omitted from the wire when 1.
+    /// How many times the series plays end-to-end in the replay
+    /// ([`CarbonIntensitySeries::replay_years`]); must not exceed the
+    /// device lifetime in whole years. Omitted from the wire when 1.
     pub years: u64,
 }
 

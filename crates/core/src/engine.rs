@@ -51,7 +51,7 @@ pub struct EngineConfig {
     pub cache_shards: usize,
     /// Worker threads per batch/sweep/grid evaluation (`0` =
     /// [`exec::default_threads`]). Servers should keep this at 1: request
-    /// concurrency already comes from connection workers.
+    /// concurrency already comes from the engine workers.
     pub eval_threads: usize,
     /// Threads in the persistent [`exec::WorkerPool`] (`0` =
     /// [`exec::default_threads`]). The pool is spawned lazily on the first
@@ -346,11 +346,11 @@ impl Engine {
                         request.years, point.lifetime_years
                     )));
                 }
-                let series = series.repeat(request.years)?;
                 let compiled = self.compiled(&spec)?;
                 let traced = gf_trace::enabled();
                 let start = if traced { gf_trace::now_ticks() } else { 0 };
-                let replay = series.replay(&compiled, point, request.interpolate)?;
+                let replay =
+                    series.replay_years(&compiled, point, request.interpolate, request.years)?;
                 if traced {
                     let end = gf_trace::now_ticks();
                     gf_trace::record_span_at(

@@ -478,23 +478,7 @@ impl CarbonIntensitySeries {
     /// Returns [`GreenFpgaError::InvalidApplication`] when `years` is zero
     /// or the stitched series would exceed [`usize::MAX`] samples.
     pub fn repeat(&self, years: u64) -> Result<Self, GreenFpgaError> {
-        if years == 0 {
-            return Err(GreenFpgaError::InvalidApplication {
-                field: "series",
-                reason: "series repetition count must be at least 1".to_string(),
-            });
-        }
-        if years == 1 {
-            return Ok(self.clone());
-        }
-        let repeats = usize::try_from(years)
-            .ok()
-            .and_then(|y| self.points.len().checked_mul(y))
-            .ok_or_else(|| GreenFpgaError::InvalidApplication {
-                field: "series",
-                reason: format!("stitching {years} copies overflows the series length"),
-            })?;
-        let mut points = Vec::with_capacity(repeats);
+        let mut points = Vec::with_capacity(self.stitched_len(years)?);
         for _ in 0..years {
             points.extend_from_slice(&self.points);
         }
@@ -502,6 +486,23 @@ impl CarbonIntensitySeries {
             points,
             step_hours: self.step_hours,
         })
+    }
+
+    /// Sample count of the series stitched `years` times.
+    fn stitched_len(&self, years: u64) -> Result<usize, GreenFpgaError> {
+        if years == 0 {
+            return Err(GreenFpgaError::InvalidApplication {
+                field: "series",
+                reason: "series repetition count must be at least 1".to_string(),
+            });
+        }
+        usize::try_from(years)
+            .ok()
+            .and_then(|y| self.points.len().checked_mul(y))
+            .ok_or_else(|| GreenFpgaError::InvalidApplication {
+                field: "series",
+                reason: format!("stitching {years} copies overflows the series length"),
+            })
     }
 
     /// Number of samples in the series.
@@ -562,6 +563,27 @@ impl CarbonIntensitySeries {
         point: OperatingPoint,
         interpolate: bool,
     ) -> Result<ReplayOutcome, GreenFpgaError> {
+        self.replay_years(compiled, point, interpolate, 1)
+    }
+
+    /// [`CarbonIntensitySeries::replay`] over the series played `years`
+    /// times end to end — bit-identical to
+    /// `self.repeat(years)?.replay(..)`, but stepping cyclically through
+    /// the one stored copy ([`CarbonIntensitySeries::sample`] wraps modulo
+    /// the length) instead of materializing the stitched trace.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CarbonIntensitySeries::repeat`]'s errors for `years` and
+    /// [`CarbonIntensitySeries::replay`]'s for the operating point.
+    pub fn replay_years(
+        &self,
+        compiled: &CompiledScenario,
+        point: OperatingPoint,
+        interpolate: bool,
+        years: u64,
+    ) -> Result<ReplayOutcome, GreenFpgaError> {
+        let len = self.stitched_len(years)?;
         let comparison = compiled.evaluate(point)?;
         let apps = point.applications as f64;
         let fpga_devices = (point.volume * compiled.fpga().chips_per_unit()) as f64;
@@ -582,25 +604,30 @@ impl CarbonIntensitySeries {
         let mut worst_excess = 0.0f64;
         let mut losses = 0usize;
         let mut ratio = f64::INFINITY;
-        for step in 0..self.points.len() {
-            let kg_per_kwh = self.sample(step, interpolate) / 1000.0;
-            fpga_total += fpga_kwh_per_hour * self.step_hours * kg_per_kwh;
-            asic_total += asic_kwh_per_hour * self.step_hours * kg_per_kwh;
-            ratio = if asic_total > 0.0 {
-                fpga_total / asic_total
-            } else {
-                f64::INFINITY
-            };
-            ratio_sum += ratio;
-            worst_ratio = worst_ratio.max(ratio);
-            let excess = (ratio - 1.0).max(0.0);
-            excess_sum += excess;
-            worst_excess = worst_excess.max(excess);
-            if ratio > 1.0 {
-                losses += 1;
+        // Year by year over the one stored copy: `sample` sees indices
+        // below the series length (so the wrap needs no division), and
+        // returns what the stitched series holds at the same offsets.
+        for _ in 0..years {
+            for step in 0..self.points.len() {
+                let kg_per_kwh = self.sample(step, interpolate) / 1000.0;
+                fpga_total += fpga_kwh_per_hour * self.step_hours * kg_per_kwh;
+                asic_total += asic_kwh_per_hour * self.step_hours * kg_per_kwh;
+                ratio = if asic_total > 0.0 {
+                    fpga_total / asic_total
+                } else {
+                    f64::INFINITY
+                };
+                ratio_sum += ratio;
+                worst_ratio = worst_ratio.max(ratio);
+                let excess = (ratio - 1.0).max(0.0);
+                excess_sum += excess;
+                worst_excess = worst_excess.max(excess);
+                if ratio > 1.0 {
+                    losses += 1;
+                }
             }
         }
-        let steps = self.points.len() as f64;
+        let steps = len as f64;
         let embodied_share = if fpga_total > 0.0 {
             (fpga_embodied / fpga_total).clamp(0.0, 1.0)
         } else {
@@ -613,7 +640,7 @@ impl CarbonIntensitySeries {
             embodied_share,
         );
         Ok(ReplayOutcome {
-            steps: self.points.len() as u64,
+            steps: len as u64,
             fpga_operational: Carbon::from_kg(fpga_total - fpga_base),
             asic_operational: Carbon::from_kg(asic_total - asic_base),
             fpga_total: Carbon::from_kg(fpga_total),
@@ -974,6 +1001,47 @@ mod tests {
         assert_eq!(a, b, "replay is a pure function of its inputs");
         let c = series.replay(&compiled, point, true).unwrap();
         assert_ne!(a.fpga_operational, c.fpga_operational);
+    }
+
+    #[test]
+    fn multi_year_replay_matches_the_stitched_series_bit_for_bit() {
+        let compiled = CompiledScenario::compile(
+            &ScenarioSpec::baseline(Domain::Crypto).params(),
+            Domain::Crypto,
+        )
+        .unwrap();
+        let point = OperatingPoint {
+            lifetime_years: 5.0,
+            ..OperatingPoint::paper_default()
+        };
+        let short =
+            CarbonIntensitySeries::new(vec![300.0, 120.0, 610.0, 45.5, 480.0], 2.5).unwrap();
+        for series in [CarbonIntensitySeries::region("solar_duck").unwrap(), short] {
+            for years in [1, 2, 5] {
+                for interpolate in [false, true] {
+                    let oracle = series
+                        .repeat(years)
+                        .unwrap()
+                        .replay(&compiled, point, interpolate)
+                        .unwrap();
+                    let cyclic = series
+                        .replay_years(&compiled, point, interpolate, years)
+                        .unwrap();
+                    assert_eq!(cyclic.steps, years * series.len() as u64);
+                    // `Debug` prints every float as its shortest
+                    // round-trip form, so equal text means equal bits.
+                    assert_eq!(
+                        format!("{cyclic:?}"),
+                        format!("{oracle:?}"),
+                        "{years} years, interpolate {interpolate}"
+                    );
+                }
+            }
+        }
+        assert!(CarbonIntensitySeries::region("global_flat")
+            .unwrap()
+            .replay_years(&compiled, point, false, 0)
+            .is_err());
     }
 
     #[test]

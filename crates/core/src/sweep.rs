@@ -995,7 +995,13 @@ mod tests {
                     .compare_uniform(Domain::Dnn, x as u64, y, 1_000_000)
                     .unwrap()
                     .fpga_to_asic_ratio();
-                assert_eq!(grid.ratios[row][col], naive, "cell ({row},{col})");
+                // Closed form vs per-application sum: the ≤1e-12 relative
+                // bound the golden batch tests hold.
+                let got = grid.ratios[row][col];
+                assert!(
+                    (got - naive).abs() <= 1e-12 * naive.abs(),
+                    "cell ({row},{col}): {got} vs {naive}"
+                );
             }
         }
     }

@@ -23,7 +23,7 @@ USAGE:
 
 OPTIONS:
   --addr <HOST:PORT>      bind address                 (default: 127.0.0.1:7878)
-  --workers <N>           connection worker threads    (default: auto)
+  --workers <N>           engine workers for offloads  (default: auto)
   --eval-threads <N>      threads per batch evaluation (default: 1)
   --cache-capacity <N>    cached compiled scenarios    (default: 64)
   --cache-shards <N>      scenario cache shards        (default: 8)

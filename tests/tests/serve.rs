@@ -972,3 +972,106 @@ fn every_query_kind_is_servable_over_the_wire() {
     }
     handle.shutdown();
 }
+
+#[test]
+fn huge_application_counts_answer_in_bounded_time() {
+    // Hostile but legal: the largest application count the wire accepts
+    // (integers are exact up to 2^53, so `u64::MAX` itself is a 400).
+    // Evaluate and compare run inline on the event loop, so their cost
+    // must not depend on the count — a per-application loop would stall
+    // the loop (and every other connection) for years. Requests run on
+    // helper threads so a stall fails the test by timeout instead of
+    // hanging it.
+    use std::sync::mpsc;
+    use std::time::{Duration, Instant};
+
+    const DEADLINE: Duration = Duration::from_secs(30);
+    let point = OperatingPoint {
+        applications: 1 << 53,
+        lifetime_years: 2.0,
+        volume: 1_000_000,
+    };
+    let point_json = |applications: &str| {
+        format!(r#"{{"applications":{applications},"lifetime_years":2.0,"volume":1000000}}"#)
+    };
+    let evaluate_body = format!(
+        r#"{{"domain":"dnn","point":{}}}"#,
+        point_json("9007199254740992")
+    );
+    let compare_body = format!(
+        r#"{{"scenarios":[{{"domain":"dnn"}},{{"domain":"crypto"}}],"point":{}}}"#,
+        point_json("9007199254740992")
+    );
+    let overflow_body = format!(
+        r#"{{"domain":"dnn","point":{}}}"#,
+        point_json("18446744073709551615")
+    );
+    let handle = spawn_server();
+    let addr = handle.addr();
+
+    let (hostile_tx, hostile_rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let mut client = Client::connect(addr).expect("connect");
+        let replies = [
+            ("/v1/evaluate", evaluate_body),
+            ("/v1/compare", compare_body),
+            ("/v1/evaluate", overflow_body),
+        ]
+        .map(|(path, body)| client.post(path, &body).expect("round-trip"));
+        let _ = hostile_tx.send(replies);
+    });
+    let (health_tx, health_rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let mut client = Client::connect(addr).expect("connect");
+        let mut slowest = Duration::ZERO;
+        for _ in 0..20 {
+            let start = Instant::now();
+            let (status, _) = client.get("/healthz").expect("healthz round-trip");
+            assert_eq!(status, 200);
+            slowest = slowest.max(start.elapsed());
+        }
+        let _ = health_tx.send(slowest);
+    });
+
+    let deadline = Instant::now() + DEADLINE;
+    let left = || deadline.saturating_duration_since(Instant::now());
+    let (replies, slowest_health) = match (
+        hostile_rx.recv_timeout(left()),
+        health_rx.recv_timeout(left()),
+    ) {
+        (Ok(replies), Ok(slowest)) => (replies, slowest),
+        _ => {
+            // The event loop is stuck inside the request: dropping the
+            // handle would join it and hang the suite instead of failing.
+            std::mem::forget(handle);
+            panic!("2^53 applications did not answer within {DEADLINE:?}");
+        }
+    };
+    assert!(
+        slowest_health < Duration::from_secs(2),
+        "/healthz took {slowest_health:?} next to the hostile requests"
+    );
+
+    let [(status, body), (compare_status, compare_body), (overflow_status, overflow_body)] =
+        replies;
+    assert_eq!(status, 200, "{body}");
+    let served = EvaluateResponse::from_json(&gf_json::parse(&body).unwrap()).expect("decode");
+    let direct = Estimator::default()
+        .compile(Domain::Dnn)
+        .unwrap()
+        .evaluate(point)
+        .unwrap();
+    assert_eq!(served.comparison, direct);
+    assert_eq!(compare_status, 200, "{compare_body}");
+    let compared =
+        CompareResponse::from_json(&gf_json::parse(&compare_body).unwrap()).expect("decode");
+    assert_eq!(compared.comparisons.len(), 2);
+    for comparison in std::iter::once(&served.comparison).chain(&compared.comparisons) {
+        for total in [comparison.fpga.total(), comparison.asic.total()] {
+            assert!(total.as_kg().is_finite() && total.as_kg() > 0.0, "{total}");
+        }
+    }
+    assert_eq!(overflow_status, 400, "{overflow_body}");
+    assert!(overflow_body.contains("bad_request"), "{overflow_body}");
+    handle.shutdown();
+}
