@@ -170,8 +170,6 @@ pub struct ServeArgs {
     pub idle_timeout_secs: u64,
     /// Slowloris `408` deadline, in seconds.
     pub header_timeout_secs: u64,
-    /// Readiness driver for the event loop.
-    pub driver: gf_server::DriverKind,
 }
 
 impl Default for ServeArgs {
@@ -185,7 +183,6 @@ impl Default for ServeArgs {
             max_connections: 4096,
             idle_timeout_secs: 5,
             header_timeout_secs: 10,
-            driver: gf_server::DriverKind::Auto,
         }
     }
 }
@@ -310,7 +307,6 @@ SERVE OPTIONS:
   --max-connections <N>           live connection cap      (default: 4096)
   --idle-timeout <SECS>           keep-alive idle close    (default: 5)
   --header-timeout <SECS>         slowloris 408 deadline   (default: 10)
-  --driver <epoll|portable|auto>  readiness driver         (default: auto)
 
 SWEEP OPTIONS:
   --axis <apps|lifetime|volume>   axis to sweep            (required)
@@ -444,6 +440,18 @@ impl Options {
             .filter(|(k, _)| k == key)
             .map(|(_, v)| v.as_str())
             .collect()
+    }
+
+    /// Rejects any `--key value` option outside `known`.
+    fn only(&self, known: &[&str]) -> Result<(), ParseError> {
+        match self
+            .pairs
+            .iter()
+            .find(|(k, _)| !known.contains(&k.as_str()))
+        {
+            Some((key, _)) => Err(ParseError(format!("unknown option '--{key}'"))),
+            None => Ok(()),
+        }
     }
 
     fn has_flag(&self, flag: &str) -> bool {
@@ -588,6 +596,16 @@ fn parse_grid_shape(options: &Options) -> Result<GridShape, ParseError> {
 
 /// Parses the options of the `serve` subcommand.
 fn parse_serve(options: &Options) -> Result<ServeArgs, ParseError> {
+    options.only(&[
+        "addr",
+        "workers",
+        "eval-threads",
+        "cache-capacity",
+        "cache-shards",
+        "max-connections",
+        "idle-timeout",
+        "header-timeout",
+    ])?;
     let mut serve = ServeArgs::default();
     if let Some(v) = options.get("addr") {
         serve.addr = v.to_string();
@@ -636,18 +654,6 @@ fn parse_serve(options: &Options) -> Result<ServeArgs, ParseError> {
             "--header-timeout",
             parse_number::<usize>("--header-timeout", v)?,
         )? as u64;
-    }
-    if let Some(v) = options.get("driver") {
-        serve.driver = match v {
-            "epoll" => gf_server::DriverKind::Epoll,
-            "portable" => gf_server::DriverKind::Portable,
-            "auto" => gf_server::DriverKind::Auto,
-            other => {
-                return Err(ParseError(format!(
-                    "--driver must be epoll|portable|auto, got '{other}'"
-                )))
-            }
-        };
     }
     Ok(serve)
 }
@@ -1033,7 +1039,7 @@ mod tests {
         );
         let command = parse_cmd(
             "serve --addr 0.0.0.0:9999 --workers 4 --eval-threads 2 --cache-capacity 16 \
-             --idle-timeout 60 --header-timeout 2 --driver portable \
+             --idle-timeout 60 --header-timeout 2 \
              --cache-shards 2 --max-connections 32",
         )
         .unwrap();
@@ -1047,13 +1053,16 @@ mod tests {
                 assert_eq!(serve.max_connections, 32);
                 assert_eq!(serve.idle_timeout_secs, 60);
                 assert_eq!(serve.header_timeout_secs, 2);
-                assert_eq!(serve.driver, gf_server::DriverKind::Portable);
             }
             other => panic!("unexpected command {other:?}"),
         }
         assert!(parse_cmd("serve --workers x").is_err());
         assert!(parse_cmd("serve --header-timeout 0").is_err());
-        assert!(parse_cmd("serve --driver kqueue").is_err());
+        // `--driver` is not an option: epoll is the only readiness source.
+        assert_eq!(
+            parse_cmd("serve --driver epoll").unwrap_err().0,
+            "unknown option '--driver'"
+        );
         // Zero eval-threads clamps to serial; zero capacities/shards/caps
         // are configuration errors, not clamps.
         match parse_cmd("serve --eval-threads 0").unwrap() {

@@ -860,15 +860,13 @@ fn serve(serve_args: ServeArgs) -> Result<(), ApiError> {
         max_connections: serve_args.max_connections,
         idle_timeout: std::time::Duration::from_secs(serve_args.idle_timeout_secs),
         header_timeout: std::time::Duration::from_secs(serve_args.header_timeout_secs),
-        driver: serve_args.driver,
         ..gf_server::ServerConfig::default()
     };
     let workers = config.workers_resolved();
-    let driver = config.driver.name();
     let server = gf_server::Server::bind(config)
         .map_err(|e| ApiError::internal(format!("cannot start the server: {e}")))?;
     println!(
-        "greenfpga-serve listening on http://{} ({workers} workers, {driver} driver)",
+        "greenfpga-serve listening on http://{} ({workers} workers)",
         server.local_addr()
     );
     server.run();

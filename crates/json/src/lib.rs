@@ -5,10 +5,10 @@
 //! ([`parse`], [`parse_with`]), and a writer whose `f64` rendering
 //! round-trips bit-for-bit ([`Value::to_json_string`]).
 //!
-//! The workspace's `serde` entry is a no-op derive stub (the offline build
-//! cannot reach a registry), so every machine-readable artifact — bench
-//! metrics, the `bench_gate` baseline, and the `greenfpga-serve` HTTP API —
-//! goes through this crate instead of hand-concatenated strings.
+//! The workspace has no registry dependencies, so every machine-readable
+//! artifact — bench metrics, the `bench_gate` baseline, and the
+//! `greenfpga-serve` HTTP API — goes through this crate instead of
+//! hand-concatenated strings.
 //!
 //! Design constraints, in order:
 //!

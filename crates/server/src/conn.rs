@@ -81,7 +81,7 @@ pub(crate) struct Conn {
     pub outpos: usize,
     /// Close (via `Drain`) once `outbuf` empties.
     pub close_after_write: bool,
-    /// The interest set currently registered with the driver.
+    /// The interest set currently registered with the poller.
     pub interest: Interest,
     /// When the current state gives up (`None` while dispatched: the
     /// engine owes a completion, the peer owes nothing).

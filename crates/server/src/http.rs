@@ -623,6 +623,97 @@ mod tests {
         ));
     }
 
+    /// What a stream of [`Step`]s says about the bytes, with each outcome
+    /// stamped by the stream offset its parse had consumed up to.
+    #[derive(Debug, PartialEq)]
+    enum Outcome {
+        Request(Request, usize),
+        Bad(u16, String, usize),
+        /// The stream ended mid-request with this many bytes unconsumed.
+        Pending(usize),
+    }
+
+    /// Feeds `wire` to a fresh assembler in the given segment sizes,
+    /// stepping after every segment the way the event loop does.
+    fn assemble(wire: &[u8], segments: impl IntoIterator<Item = usize>) -> Vec<Outcome> {
+        let mut assembler = RequestAssembler::default();
+        let mut inbuf = Vec::new();
+        let mut fed = 0;
+        let mut outcomes = Vec::new();
+        for len in segments {
+            let end = (fed + len).min(wire.len());
+            inbuf.extend_from_slice(&wire[fed..end]);
+            fed = end;
+            loop {
+                match assembler.step(&mut inbuf, LIMITS) {
+                    Step::NeedMore => break,
+                    Step::Request(request) => {
+                        outcomes.push(Outcome::Request(request, fed - inbuf.len()));
+                    }
+                    Step::Bad { status, message } => {
+                        // The connection is answered and dropped here.
+                        outcomes.push(Outcome::Bad(status, message, fed - inbuf.len()));
+                        return outcomes;
+                    }
+                }
+            }
+        }
+        assert_eq!(fed, wire.len(), "segments cover the stream");
+        outcomes.push(Outcome::Pending(inbuf.len()));
+        outcomes
+    }
+
+    #[test]
+    fn random_segmentation_parses_like_the_whole_buffer() {
+        use gf_support::SplitMix64;
+        let pad = "a".repeat(2 * LIMITS.max_head_bytes);
+        let corpus: Vec<String> = vec![
+            "GET /healthz HTTP/1.1\r\n\r\nPOST /v1/evaluate HTTP/1.1\r\nContent-Length: 16\r\n\r\n{\"domain\":\"dnn\"}GET /v1/metrics HTTP/1.1\r\nConnection: close\r\n\r\n".into(),
+            "POST /v1/batch HTTP/1.1\r\nExpect: 100-continue\r\nContent-Length: 5\r\n\r\nhelloGET /healthz HTTP/1.0\r\nConnection: keep-alive\r\n\r\n".into(),
+            "POST /v1/evaluate HTTP/1.1\nContent-Length: 4\n\nbody\nGET /healthz HTTP/1.0\n\n".into(),
+            "\r\nGET / HTTP/1.1\r\n\r\nPOST / HTTP/1.1\r\nContent-Length: 4\r\nContent-Length: 11\r\n\r\nbody".into(),
+            "POST / HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 2\r\n\r\nokPOST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n".into(),
+            format!("GET /healthz HTTP/1.1\r\n\r\nGET / HTTP/1.1\r\nX-Pad: {pad}\r\n\r\n"),
+            format!("POST / HTTP/1.1\r\nContent-Length: {}\r\n\r\n", LIMITS.max_body_bytes + 1),
+            "GET /a HTTP/1.1\r\n\r\n\r\n\nGET / SPDY/3\r\n\r\n".into(),
+            "\r\n\n\r\n\r\n\n\r\nGET / HTTP/1.1\r\n\r\n".into(),
+        ];
+        // Framing bytes make flips likelier to move a boundary than a
+        // uniformly random byte would.
+        const FRAMING: &[u8] = b"\r\n: 0123456789";
+        let mut rng = SplitMix64::new(0x5EED_4A55);
+        for case in 0..4000 {
+            let mut wire = corpus[case % corpus.len()].clone().into_bytes();
+            for _ in 0..rng.gen_range_u64(0, 3) {
+                let at = rng.gen_index(wire.len());
+                wire[at] = if rng.gen_bool() {
+                    FRAMING[rng.gen_index(FRAMING.len())]
+                } else {
+                    rng.next_u64() as u8
+                };
+            }
+            if rng.gen_bool() {
+                wire.truncate(rng.gen_index(wire.len() + 1));
+            }
+            let whole = assemble(&wire, [wire.len()]);
+            let max_segment = rng.gen_range_u64(1, wire.len().max(1) as u64);
+            let mut segments = Vec::new();
+            let mut covered = 0;
+            while covered < wire.len() {
+                let len = rng.gen_range_u64(1, max_segment) as usize;
+                segments.push(len);
+                covered += len;
+            }
+            let segmented = assemble(&wire, segments.iter().copied());
+            assert_eq!(
+                segmented,
+                whole,
+                "case {case}: {:?} in segments {segments:?}",
+                String::from_utf8_lossy(&wire)
+            );
+        }
+    }
+
     #[test]
     fn chunked_responses_frame_each_piece() {
         let mut out = Vec::new();

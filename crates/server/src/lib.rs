@@ -2,13 +2,12 @@
 //!
 //! A zero-dependency HTTP/JSON estimation service over the compiled
 //! GreenFPGA engine, built on a single-threaded readiness event loop:
-//! a non-blocking listener and sockets driven by raw `epoll` on Linux
-//! (with a portable speculative-sweep fallback), per-connection state
-//! machines that resume partial reads and writes wherever the network
-//! fragmented them, and a persistent [`greenfpga::exec::WorkerPool`]
-//! that does only *engine* work — heavy queries are offloaded with a
-//! completion callback and their responses return to the loop through a
-//! wakeup pipe. Connection count is bounded by file descriptors, not
+//! a non-blocking listener and sockets driven by raw `epoll`,
+//! per-connection state machines that resume partial reads and writes
+//! wherever the network fragmented them, and a persistent
+//! [`greenfpga::exec::WorkerPool`] that does only *engine* work — heavy
+//! queries are offloaded with a completion callback and their responses
+//! return to the loop through a wakeup pipe. Connection count is bounded by file descriptors, not
 //! threads: 10k+ live keep-alive connections are one loop, not 10k stacks.
 //!
 //! ## Routes
@@ -56,9 +55,17 @@
 //! handle.shutdown(); // joins the event loop and every worker
 //! # Ok::<(), std::io::Error>(())
 //! ```
+//!
+//! ## Platform
+//!
+//! The event loop is built on `epoll`, so this crate (and the CLI that
+//! embeds it) builds on Linux only.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
+
+#[cfg(not(target_os = "linux"))]
+compile_error!("gf-server needs Linux: its event loop is built on epoll");
 
 pub mod client;
 mod conn;
@@ -74,6 +81,8 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::os::unix::io::AsRawFd;
+use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -82,9 +91,7 @@ use greenfpga::{Engine, EngineConfig, ResultBuffer};
 
 use conn::{Conn, ConnSlab, ConnState, StreamState};
 use metrics::Metrics;
-use poll::{Driver, Interest};
-
-pub use poll::DriverKind;
+use poll::{Interest, Poller};
 
 /// Token of the listening socket in readiness reports.
 const LISTENER_TOKEN: u64 = u64::MAX;
@@ -100,8 +107,6 @@ const REJECT_WRITE_DEADLINE: Duration = Duration::from_secs(1);
 /// Load shedding: reject new connections once this many jobs per worker
 /// are queued unclaimed behind the pool.
 const SHED_QUEUE_FACTOR: usize = 8;
-/// Upper bound on the portable driver's idle back-off between sweeps.
-const PORTABLE_IDLE_CAP: Duration = Duration::from_millis(20);
 /// Pending-response backpressure: once this many unflushed bytes are
 /// queued on a connection, the parse loop stops answering pipelined
 /// followers until the peer drains some — bounding memory a reader that
@@ -145,9 +150,6 @@ pub struct ServerConfig {
     /// answered `408` and closed. Armed once per request, so trickling
     /// bytes cannot reset it.
     pub header_timeout: Duration,
-    /// Readiness driver. `Auto` resolves via the `GF_SERVE_DRIVER`
-    /// environment variable, then the platform default (`epoll` on Linux).
-    pub driver: DriverKind,
     /// When set, a background thread streams every recorded span to this
     /// file as NDJSON (one JSON object per line). Bounded buffering: a
     /// slow disk loses spans to ring overwrite, it never blocks serving.
@@ -169,7 +171,6 @@ impl Default for ServerConfig {
             max_connections: 4096,
             idle_timeout: Duration::from_secs(5),
             header_timeout: Duration::from_secs(10),
-            driver: DriverKind::Auto,
             trace_log: None,
             slow_request_us: 0,
         }
@@ -249,38 +250,22 @@ pub(crate) enum StreamEvent {
 /// the pipe buffer; write errors (full pipe, torn-down loop) are ignored —
 /// the loop drains its completion queue on every iteration regardless.
 struct Waker {
-    #[cfg(unix)]
-    tx: std::os::unix::net::UnixStream,
+    tx: UnixStream,
 }
 
 impl Waker {
     fn wake(&self) {
-        #[cfg(unix)]
-        {
-            let _ = (&self.tx).write(&[1]);
-        }
+        let _ = (&self.tx).write(&[1]);
     }
 }
 
-/// The receiving half of the wakeup channel, owned by the event loop.
-struct WakePipe {
-    #[cfg(unix)]
-    rx: std::os::unix::net::UnixStream,
-}
-
-fn wake_channel() -> std::io::Result<(Waker, WakePipe)> {
-    #[cfg(unix)]
-    {
-        let (tx, rx) = std::os::unix::net::UnixStream::pair()?;
-        tx.set_nonblocking(true)?;
-        rx.set_nonblocking(true)?;
-        Ok((Waker { tx }, WakePipe { rx }))
-    }
-    #[cfg(not(unix))]
-    {
-        // No pipe: the loop caps its wait instead (see `next_timeout`).
-        Ok((Waker {}, WakePipe {}))
-    }
+/// Returns the worker-side waker and the receiving half the event loop
+/// registers and drains.
+fn wake_channel() -> std::io::Result<(Waker, UnixStream)> {
+    let (tx, rx) = UnixStream::pair()?;
+    tx.set_nonblocking(true)?;
+    rx.set_nonblocking(true)?;
+    Ok((Waker { tx }, rx))
 }
 
 /// Shared server state: configuration, the unified engine (scenario cache
@@ -327,18 +312,15 @@ pub struct Server {
 }
 
 impl Server {
-    /// Binds the listener, resolves the readiness driver and pre-resolves
-    /// the scenario templates.
+    /// Binds the listener, creates the `epoll` poller and pre-resolves the
+    /// scenario templates.
     ///
     /// # Errors
     ///
-    /// I/O errors from binding or driver setup; an invalid
-    /// `GF_SERVE_DRIVER`/driver choice surfaces as
-    /// [`std::io::ErrorKind::InvalidInput`]; calibration failures surface
-    /// as [`std::io::ErrorKind::InvalidData`] (the built-in calibrations
-    /// never fail).
+    /// I/O errors from binding or poller setup; calibration failures
+    /// surface as [`std::io::ErrorKind::InvalidData`] (the built-in
+    /// calibrations never fail).
     pub fn bind(config: ServerConfig) -> std::io::Result<Server> {
-        let driver_kind = config.driver.resolve()?;
         let listener = TcpListener::bind(&config.addr)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
@@ -362,7 +344,7 @@ impl Server {
             completions: Mutex::new(Vec::new()),
             waker,
         });
-        let event_loop = EventLoop::new(listener, wake_pipe, Arc::clone(&state), driver_kind)?;
+        let event_loop = EventLoop::new(listener, wake_pipe, Arc::clone(&state))?;
         Ok(Server {
             addr,
             state,
@@ -437,18 +419,6 @@ impl Drop for ServerHandle {
     }
 }
 
-#[cfg(unix)]
-fn raw_fd(stream: &TcpStream) -> std::os::unix::io::RawFd {
-    use std::os::unix::io::AsRawFd;
-    stream.as_raw_fd()
-}
-
-#[cfg(not(unix))]
-fn raw_fd(_stream: &TcpStream) -> i32 {
-    // The portable driver (the only choice off unix) ignores fds.
-    0
-}
-
 /// Moves a connection's deadline, pushing a heap entry only when one is
 /// needed: no entry is standing, or the deadline moved *earlier* than the
 /// standing one could cover. Later-moving deadlines ride the standing
@@ -493,12 +463,12 @@ fn log_slow_request(request_id: u64, route: usize, status: u16, elapsed_us: f64)
 }
 
 /// The readiness event loop: owns the listener, every connection, the
-/// timer heap and the driver. Single-threaded — all connection state is
+/// timer heap and the poller. Single-threaded — all connection state is
 /// plain data, and the only synchronization is the completion queue the
 /// workers fill.
 struct EventLoop {
     listener: TcpListener,
-    driver: Driver,
+    poller: Poller,
     state: Arc<ServerState>,
     conns: ConnSlab,
     /// Lazy-deletion deadline heap (see [`arm_deadline`]).
@@ -507,11 +477,8 @@ struct EventLoop {
     scratch: Vec<u8>,
     /// Result scratch for queries handled inline on the loop.
     buffer: ResultBuffer,
-    wake_pipe: WakePipe,
-    /// Whether the last iteration accomplished anything — paces the
-    /// portable driver's speculative sweeps.
-    progress: bool,
-    idle_streak: u32,
+    /// Receiving half of the worker wakeup channel.
+    wake_pipe: UnixStream,
     workers: usize,
     /// The NDJSON trace-log writer, when `--trace-log` is set. Held so the
     /// loop's teardown stops and joins it (via drop) after the last span.
@@ -524,21 +491,12 @@ struct EventLoop {
 impl EventLoop {
     fn new(
         listener: TcpListener,
-        wake_pipe: WakePipe,
+        wake_pipe: UnixStream,
         state: Arc<ServerState>,
-        driver_kind: DriverKind,
     ) -> std::io::Result<EventLoop> {
-        let mut driver = Driver::new(driver_kind)?;
-        #[cfg(unix)]
-        {
-            use std::os::unix::io::AsRawFd;
-            driver.register(listener.as_raw_fd(), LISTENER_TOKEN, Interest::READ)?;
-            driver.register(wake_pipe.rx.as_raw_fd(), WAKE_TOKEN, Interest::READ)?;
-        }
-        #[cfg(not(unix))]
-        {
-            driver.register(0, LISTENER_TOKEN, Interest::READ)?;
-        }
+        let mut poller = Poller::new()?;
+        poller.register(listener.as_raw_fd(), LISTENER_TOKEN, Interest::READ)?;
+        poller.register(wake_pipe.as_raw_fd(), WAKE_TOKEN, Interest::READ)?;
         let workers = state.config.workers_resolved().max(1);
         let trace_log = match &state.config.trace_log {
             Some(path) => Some(gf_trace::start_ndjson_log(path)?),
@@ -546,7 +504,7 @@ impl EventLoop {
         };
         Ok(EventLoop {
             listener,
-            driver,
+            poller,
             state,
             conns: ConnSlab::default(),
             timers: BinaryHeap::new(),
@@ -554,8 +512,6 @@ impl EventLoop {
             scratch: vec![0u8; 64 << 10],
             buffer: ResultBuffer::new(),
             wake_pipe,
-            progress: true,
-            idle_streak: 0,
             workers,
             trace_log,
             census_taken: Instant::now(),
@@ -565,18 +521,14 @@ impl EventLoop {
     fn run(mut self) {
         while !self.state.stop.load(Ordering::SeqCst) {
             let timeout = self.next_timeout();
-            if self.driver.is_speculative() {
-                self.pace_speculative_sweep(timeout);
-            }
             let wait_from = Instant::now();
-            if let Err(e) = self.driver.wait(&mut self.events, timeout) {
-                eprintln!("greenfpga-serve: driver wait failed: {e}");
+            if let Err(e) = self.poller.wait(&mut self.events, timeout) {
+                eprintln!("greenfpga-serve: epoll wait failed: {e}");
                 std::thread::sleep(Duration::from_millis(10));
                 continue;
             }
             let iter_from = Instant::now();
             let wait_ns = iter_from.duration_since(wait_from).as_nanos() as u64;
-            self.progress = false;
             let events = std::mem::take(&mut self.events);
             for &event in &events {
                 self.handle_event(event);
@@ -606,59 +558,12 @@ impl EventLoop {
 
     /// How long the wait may block: until the nearest deadline, forever
     /// when none is armed (the wakeup pipe interrupts for completions and
-    /// shutdown). Without a wakeup pipe the wait is capped instead.
+    /// shutdown).
     fn next_timeout(&self) -> Option<Duration> {
         let now = Instant::now();
-        let timeout = self
-            .timers
+        self.timers
             .peek()
-            .map(|&Reverse((deadline, _))| deadline.saturating_duration_since(now));
-        #[cfg(unix)]
-        {
-            timeout
-        }
-        #[cfg(not(unix))]
-        {
-            let cap = Duration::from_millis(10);
-            Some(timeout.map_or(cap, |t| t.min(cap)))
-        }
-    }
-
-    /// The portable driver never blocks in `wait`, so the loop sleeps here
-    /// between sweeps once a full pass made no progress — parking on the
-    /// wakeup pipe so completions and shutdown still interrupt, with a
-    /// deadline-capped exponential back-off so an idle server costs little
-    /// and an active one sweeps flat-out.
-    fn pace_speculative_sweep(&mut self, timeout: Option<Duration>) {
-        if self.progress {
-            self.idle_streak = 0;
-            return;
-        }
-        self.idle_streak = self.idle_streak.saturating_add(1);
-        let backoff =
-            Duration::from_micros(500u64 << self.idle_streak.min(5)).min(PORTABLE_IDLE_CAP);
-        let nap = timeout.map_or(backoff, |t| t.min(backoff));
-        let nap = nap.max(Duration::from_micros(100));
-        #[cfg(unix)]
-        {
-            let pipe = &self.wake_pipe.rx;
-            if pipe.set_read_timeout(Some(nap)).is_ok() && pipe.set_nonblocking(false).is_ok() {
-                let mut reader = pipe;
-                let mut bytes = [0u8; 8];
-                if let Ok(n) = reader.read(&mut bytes) {
-                    // Pokes consumed while parked still count as received.
-                    self.state
-                        .loop_stats
-                        .wakeups_received
-                        .fetch_add(n as u64, Ordering::Relaxed);
-                }
-                let _ = pipe.set_nonblocking(true);
-            } else {
-                std::thread::sleep(nap);
-            }
-        }
-        #[cfg(not(unix))]
-        std::thread::sleep(nap);
+            .map(|&Reverse((deadline, _))| deadline.saturating_duration_since(now))
     }
 
     fn handle_event(&mut self, event: poll::Event) {
@@ -674,25 +579,22 @@ impl EventLoop {
             .loop_stats
             .wakeup_events
             .fetch_add(1, Ordering::Relaxed);
-        #[cfg(unix)]
-        {
-            let mut reader = &self.wake_pipe.rx;
-            let mut sink = [0u8; 64];
-            let mut drained = 0u64;
-            while let Ok(n) = reader.read(&mut sink) {
-                if n == 0 {
-                    break;
-                }
-                drained += n as u64;
+        let mut reader = &self.wake_pipe;
+        let mut sink = [0u8; 64];
+        let mut drained = 0u64;
+        while let Ok(n) = reader.read(&mut sink) {
+            if n == 0 {
+                break;
             }
-            if drained > 0 {
-                // Each byte is one worker poke; `drained` pokes rode this
-                // single readiness event.
-                self.state
-                    .loop_stats
-                    .wakeups_received
-                    .fetch_add(drained, Ordering::Relaxed);
-            }
+            drained += n as u64;
+        }
+        if drained > 0 {
+            // Each byte is one worker poke; `drained` pokes rode this
+            // single readiness event.
+            self.state
+                .loop_stats
+                .wakeups_received
+                .fetch_add(drained, Ordering::Relaxed);
         }
     }
 
@@ -711,10 +613,7 @@ impl EventLoop {
     fn accept_ready(&mut self) {
         loop {
             match self.listener.accept() {
-                Ok((stream, _)) => {
-                    self.progress = true;
-                    self.admit(stream);
-                }
+                Ok((stream, _)) => self.admit(stream),
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
                 Err(_) => break, // transient (EMFILE, aborted handshake); retried on next event
@@ -762,10 +661,10 @@ impl EventLoop {
         } else {
             self.state.live_connections.fetch_add(1, Ordering::SeqCst);
         }
-        let fd = raw_fd(&conn.stream);
+        let fd = conn.stream.as_raw_fd();
         let interest = conn.interest;
         let token = self.conns.insert(conn);
-        if self.driver.register(fd, token, interest).is_err() {
+        if self.poller.register(fd, token, interest).is_err() {
             self.close(token);
             return;
         }
@@ -782,9 +681,8 @@ impl EventLoop {
         let Some(conn) = self.conns.get_mut(token) else {
             return; // stale event for a closed connection
         };
-        // Act only on registered interest: the portable driver reports
-        // speculatively, and epoll events can outlive an interest change
-        // made earlier in this batch.
+        // Act only on registered interest: an epoll event can outlive an
+        // interest change made earlier in the same batch.
         let interest = conn.interest;
         if writable && interest.writable {
             self.flush_out(token);
@@ -847,7 +745,6 @@ impl EventLoop {
                         // — spans recorded anywhere downstream correlate.
                         conn.request_id = gf_trace::next_id();
                     }
-                    self.progress = true;
                     After::Parse
                 }
                 Err(e)
@@ -1230,17 +1127,13 @@ impl EventLoop {
         let idle_timeout = self.state.config.idle_timeout;
         let mut must_close = false;
         if let Some(conn) = self.conns.get_mut(token) {
-            let mut wrote = false;
             while conn.outpos < conn.outbuf.len() {
                 match conn.stream.write(&conn.outbuf[conn.outpos..]) {
                     Ok(0) => {
                         must_close = true;
                         break;
                     }
-                    Ok(n) => {
-                        conn.outpos += n;
-                        wrote = true;
-                    }
+                    Ok(n) => conn.outpos += n,
                     Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
                     Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
                     Err(_) => {
@@ -1248,9 +1141,6 @@ impl EventLoop {
                         break;
                     }
                 }
-            }
-            if wrote {
-                self.progress = true;
             }
             if !must_close && conn.outpos == conn.outbuf.len() && !conn.outbuf.is_empty() {
                 if conn.write_started_ticks != 0 {
@@ -1306,9 +1196,7 @@ impl EventLoop {
                         must_close = true;
                         break;
                     }
-                    Ok(_) => {
-                        self.progress = true;
-                    }
+                    Ok(_) => {}
                     Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
                     Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
                     Err(_) => {
@@ -1323,7 +1211,7 @@ impl EventLoop {
         }
     }
 
-    /// Syncs the driver's interest set with what the connection's state
+    /// Syncs the poller's interest set with what the connection's state
     /// wants. No syscall when nothing changed.
     fn update_interest(&mut self, token: u64) {
         let mut failed = false;
@@ -1331,8 +1219,8 @@ impl EventLoop {
             let desired = conn.desired_interest();
             if desired != conn.interest {
                 conn.interest = desired;
-                let fd = raw_fd(&conn.stream);
-                failed = self.driver.modify(fd, token, desired).is_err();
+                let fd = conn.stream.as_raw_fd();
+                failed = self.poller.modify(fd, token, desired).is_err();
             }
         }
         if failed {
@@ -1353,7 +1241,6 @@ impl EventLoop {
             std::mem::take(&mut *queue)
         };
         for completion in completed {
-            self.progress = true;
             match completion {
                 Completion::Respond(response) => {
                     self.finish_request(
@@ -1562,21 +1449,16 @@ impl EventLoop {
             match fire {
                 Fire::Skip => {}
                 Fire::HeaderTimeout => {
-                    self.progress = true;
                     self.protocol_error(token, 408, "request header read timed out");
                 }
-                Fire::Close => {
-                    self.progress = true;
-                    self.close(token);
-                }
+                Fire::Close => self.close(token),
             }
         }
     }
 
     fn close(&mut self, token: u64) {
         if let Some(conn) = self.conns.remove(token) {
-            let fd = raw_fd(&conn.stream);
-            self.driver.deregister(fd, token);
+            self.poller.deregister(conn.stream.as_raw_fd());
             let _ = conn.stream.shutdown(Shutdown::Both);
             if conn.counted_live {
                 self.state.live_connections.fetch_sub(1, Ordering::SeqCst);

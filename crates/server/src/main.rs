@@ -5,7 +5,6 @@
 //!                 [--cache-capacity N] [--cache-shards N]
 //!                 [--max-connections N] [--max-body-bytes N]
 //!                 [--idle-timeout SECS] [--header-timeout SECS]
-//!                 [--driver epoll|portable|auto]
 //!                 [--trace-log PATH] [--slow-request-us N]
 //! ```
 //!
@@ -31,7 +30,6 @@ OPTIONS:
   --max-body-bytes <N>    request body limit           (default: 4194304)
   --idle-timeout <SECS>   keep-alive idle close        (default: 5)
   --header-timeout <SECS> slowloris 408 deadline       (default: 10)
-  --driver <NAME>         epoll | portable | auto      (default: auto)
   --trace-log <PATH>      stream spans to PATH as NDJSON (default: off)
   --slow-request-us <N>   log requests slower than N us  (default: off)
 
@@ -103,18 +101,6 @@ fn parse_config(args: &[String]) -> Result<ServerConfig, String> {
             }
             "--trace-log" => config.trace_log = Some(std::path::PathBuf::from(value)),
             "--slow-request-us" => config.slow_request_us = parse_positive(value)? as u64,
-            "--driver" => {
-                config.driver = match value.as_str() {
-                    "epoll" => gf_server::DriverKind::Epoll,
-                    "portable" => gf_server::DriverKind::Portable,
-                    "auto" => gf_server::DriverKind::Auto,
-                    other => {
-                        return Err(format!(
-                            "--driver must be epoll|portable|auto, got '{other}'"
-                        ))
-                    }
-                }
-            }
             other => return Err(format!("unknown option '{other}'")),
         }
         i += 2;
@@ -136,7 +122,6 @@ fn main() -> ExitCode {
         }
     };
     let workers = config.workers_resolved();
-    let driver = config.driver.name();
     let server = match Server::bind(config) {
         Ok(server) => server,
         Err(e) => {
@@ -145,7 +130,7 @@ fn main() -> ExitCode {
         }
     };
     println!(
-        "greenfpga-serve listening on http://{} ({workers} workers, {driver} driver)",
+        "greenfpga-serve listening on http://{} ({workers} workers)",
         server.local_addr()
     );
     server.run();
@@ -178,12 +163,11 @@ mod tests {
         assert_eq!(config.cache_shards, 8);
         assert_eq!(config.max_connections, 4096);
         assert_eq!(config.header_timeout, std::time::Duration::from_secs(10));
-        assert_eq!(config.driver, gf_server::DriverKind::Auto);
         assert_eq!(config.trace_log, None);
         assert_eq!(config.slow_request_us, 0);
         let config = parse_config(&argv(
             "--addr 0.0.0.0:9000 --workers 8 --eval-threads 2 --cache-shards 4 --max-connections 64 \
-             --idle-timeout 30 --header-timeout 3 --driver portable \
+             --idle-timeout 30 --header-timeout 3 \
              --trace-log /tmp/spans.ndjson --slow-request-us 500",
         ))
         .unwrap();
@@ -194,7 +178,6 @@ mod tests {
         assert_eq!(config.max_connections, 64);
         assert_eq!(config.idle_timeout, std::time::Duration::from_secs(30));
         assert_eq!(config.header_timeout, std::time::Duration::from_secs(3));
-        assert_eq!(config.driver, gf_server::DriverKind::Portable);
         assert_eq!(
             config.trace_log.as_deref(),
             Some(std::path::Path::new("/tmp/spans.ndjson"))
@@ -213,7 +196,11 @@ mod tests {
         assert!(parse_config(&argv("--cache-shards 0")).is_err());
         assert!(parse_config(&argv("--max-connections 0")).is_err());
         assert!(parse_config(&argv("--header-timeout 0")).is_err());
-        assert!(parse_config(&argv("--driver kqueue")).is_err());
+        // `--driver` is not an option: epoll is the only readiness source.
+        assert_eq!(
+            parse_config(&argv("--driver epoll")).unwrap_err(),
+            "unknown option '--driver'"
+        );
         // A zero floor means "off" — reached by omitting the flag, not by
         // passing 0 (which reads like a typo for "log everything").
         assert!(parse_config(&argv("--slow-request-us 0")).is_err());

@@ -186,11 +186,11 @@ pub(crate) const CONN_STATES: [&str; 5] = ["read", "dispatched", "stream", "writ
 pub(crate) struct LoopStats {
     /// Loop iterations completed.
     pub iterations: AtomicU64,
-    /// Total iteration time (driver wait excluded), nanoseconds.
+    /// Total iteration time (epoll wait excluded), nanoseconds.
     pub iter_ns_sum: AtomicU64,
     /// Iteration-duration histogram over [`LOOP_BOUNDS_US`].
     pub iter_buckets: [AtomicU64; LOOP_BOUNDS_US.len() + 1],
-    /// Total time blocked in the readiness driver, nanoseconds.
+    /// Total time blocked in `epoll_wait`, nanoseconds.
     pub wait_ns_sum: AtomicU64,
     /// Wakeup pokes received (bytes drained from the wakeup pipe).
     pub wakeups_received: AtomicU64,

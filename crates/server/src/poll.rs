@@ -1,34 +1,21 @@
-//! Readiness drivers: how the event loop learns that a socket wants
+//! The readiness poller: how the event loop learns that a socket wants
 //! attention.
 //!
-//! Two implementations sit behind one [`Driver`] enum:
+//! [`Poller`] owns one kernel `epoll` instance (via the raw-syscall
+//! wrappers in [`crate::sys`]) and hides its bitmask format behind
+//! [`Interest`] and [`Event`]. One `epoll_wait` call parks the loop until
+//! any of 10k+ sockets (or the worker wakeup pipe) has bytes, with the next
+//! timer deadline as the timeout.
 //!
-//! * **`epoll`** (Linux): level-triggered readiness from the kernel via the
-//!   raw-syscall wrappers in [`crate::sys`]. One `epoll_wait` call parks
-//!   the loop until any of 10k+ sockets (or the worker wakeup pipe) has
-//!   bytes, with the next timer deadline as the timeout.
-//! * **`portable`** (anywhere `std` compiles): a speculative sweep that
-//!   reports *every* registered fd as ready for whatever it is interested
-//!   in. Non-blocking I/O makes that correct — a not-actually-ready socket
-//!   just returns `WouldBlock` — at the cost of O(connections) syscalls per
-//!   sweep, so the event loop sleeps between sweeps whenever a full pass
-//!   makes no progress. Correctness-equivalent, throughput-inferior: it
-//!   exists so the suite runs on platforms without `epoll` and as a
-//!   differential check that the server's behavior does not depend on
-//!   kernel readiness semantics.
-//!
-//! Both drivers are level-triggered by contract: an event is a *hint* that
-//! progress may be possible, never a guarantee, and a consumer that does
-//! not drain a socket will simply see the event again.
+//! Readiness is level-triggered: an event is a *hint* that progress may be
+//! possible, never a guarantee, and a consumer that does not drain a socket
+//! will simply see the event again.
 
-use std::collections::HashMap;
 use std::io;
+use std::os::unix::io::RawFd;
 use std::time::Duration;
 
-#[cfg(unix)]
-use std::os::unix::io::RawFd;
-#[cfg(not(unix))]
-type RawFd = i32;
+use crate::sys::linux::{Epoll, EpollEvent, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 
 /// Which events a registered fd wants reported.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,6 +33,17 @@ impl Interest {
         readable: true,
         writable: false,
     };
+
+    fn epoll_mask(self) -> u32 {
+        let mut mask = 0;
+        if self.readable {
+            mask |= EPOLLIN | EPOLLRDHUP;
+        }
+        if self.writable {
+            mask |= EPOLLOUT;
+        }
+        mask
+    }
 }
 
 /// One readiness report.
@@ -59,218 +57,59 @@ pub(crate) struct Event {
     pub writable: bool,
 }
 
-/// Which driver to run the event loop on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DriverKind {
-    /// Platform default (`epoll` on Linux, `portable` elsewhere), unless
-    /// the `GF_SERVE_DRIVER` environment variable says otherwise.
-    #[default]
-    Auto,
-    /// The raw-`epoll` readiness loop (Linux only).
-    Epoll,
-    /// The speculative-sweep fallback (any platform).
-    Portable,
+/// An `epoll` instance plus the buffer its reports land in.
+pub(crate) struct Poller {
+    epoll: Epoll,
+    buf: Vec<EpollEvent>,
 }
 
-impl DriverKind {
-    /// Resolves `Auto` against `GF_SERVE_DRIVER` and the platform.
-    ///
-    /// # Errors
-    ///
-    /// `InvalidInput` for an unrecognized environment value or for `Epoll`
-    /// requested on a platform without epoll.
-    pub(crate) fn resolve(self) -> io::Result<DriverKind> {
-        let kind = match self {
-            DriverKind::Auto => match std::env::var("GF_SERVE_DRIVER") {
-                Ok(name) => match name.as_str() {
-                    "epoll" => DriverKind::Epoll,
-                    "portable" => DriverKind::Portable,
-                    "" | "auto" => platform_default(),
-                    other => {
-                        return Err(io::Error::new(
-                            io::ErrorKind::InvalidInput,
-                            format!("GF_SERVE_DRIVER must be epoll|portable|auto, got '{other}'"),
-                        ));
-                    }
-                },
-                Err(_) => platform_default(),
-            },
-            explicit => explicit,
-        };
-        if kind == DriverKind::Epoll && !cfg!(target_os = "linux") {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "the epoll driver requires Linux; use --driver portable",
-            ));
-        }
-        Ok(kind)
-    }
-
-    /// The flag/env spelling of the kind (`"epoll"`, `"portable"`,
-    /// `"auto"`).
-    pub fn name(self) -> &'static str {
-        match self {
-            DriverKind::Auto => "auto",
-            DriverKind::Epoll => "epoll",
-            DriverKind::Portable => "portable",
-        }
-    }
-}
-
-fn platform_default() -> DriverKind {
-    if cfg!(target_os = "linux") {
-        DriverKind::Epoll
-    } else {
-        DriverKind::Portable
-    }
-}
-
-/// A readiness source the event loop polls.
-pub(crate) enum Driver {
-    /// Kernel readiness via `epoll`.
-    #[cfg(target_os = "linux")]
-    Epoll(EpollDriver),
-    /// Speculative sweep over every registered fd.
-    Portable(PortableDriver),
-}
-
-impl Driver {
-    /// Builds the driver for a **resolved** kind (`Auto` is a logic error).
-    pub fn new(kind: DriverKind) -> io::Result<Driver> {
-        match kind {
-            #[cfg(target_os = "linux")]
-            DriverKind::Epoll => Ok(Driver::Epoll(EpollDriver {
-                epoll: crate::sys::linux::Epoll::new()?,
-                buf: vec![crate::sys::linux::EpollEvent { events: 0, data: 0 }; 1024],
-            })),
-            #[cfg(not(target_os = "linux"))]
-            DriverKind::Epoll => Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "epoll driver is Linux-only",
-            )),
-            DriverKind::Portable => Ok(Driver::Portable(PortableDriver {
-                registered: HashMap::new(),
-            })),
-            DriverKind::Auto => Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "driver kind must be resolved before construction",
-            )),
-        }
-    }
-
-    /// True when `wait` never blocks, so the event loop must pace itself
-    /// between sweeps.
-    pub fn is_speculative(&self) -> bool {
-        matches!(self, Driver::Portable(_))
+impl Poller {
+    /// Creates a poller with room for 1024 reports per wait.
+    pub fn new() -> io::Result<Poller> {
+        Ok(Poller {
+            epoll: Epoll::new()?,
+            buf: vec![EpollEvent { events: 0, data: 0 }; 1024],
+        })
     }
 
     /// Starts reporting `interest` for `fd` under `token`.
     pub fn register(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-        match self {
-            #[cfg(target_os = "linux")]
-            Driver::Epoll(d) => d.epoll.add(fd, epoll_mask(interest), token),
-            Driver::Portable(d) => {
-                d.registered.insert(token, interest);
-                Ok(())
-            }
-        }
+        self.epoll.add(fd, interest.epoll_mask(), token)
     }
 
     /// Changes the interest set of a registered fd.
     pub fn modify(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-        match self {
-            #[cfg(target_os = "linux")]
-            Driver::Epoll(d) => d.epoll.modify(fd, epoll_mask(interest), token),
-            Driver::Portable(d) => {
-                d.registered.insert(token, interest);
-                Ok(())
-            }
-        }
+        self.epoll.modify(fd, interest.epoll_mask(), token)
     }
 
-    /// Stops reporting `fd`/`token`. Best-effort.
-    pub fn deregister(&mut self, fd: RawFd, token: u64) {
-        match self {
-            #[cfg(target_os = "linux")]
-            Driver::Epoll(d) => d.epoll.delete(fd),
-            Driver::Portable(d) => {
-                d.registered.remove(&token);
-            }
-        }
-        #[cfg(not(target_os = "linux"))]
-        let _ = fd;
-        #[cfg(target_os = "linux")]
-        let _ = token;
+    /// Stops reporting `fd`. Best-effort.
+    pub fn deregister(&mut self, fd: RawFd) {
+        self.epoll.delete(fd);
     }
 
-    /// Fills `out` with readiness reports. The epoll driver blocks up to
-    /// `timeout` (forever when `None`); the portable driver returns a
-    /// speculative report for every registered fd without blocking.
+    /// Fills `out` with readiness reports, blocking up to `timeout`
+    /// (forever when `None`).
     pub fn wait(&mut self, out: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<()> {
         out.clear();
-        match self {
-            #[cfg(target_os = "linux")]
-            Driver::Epoll(d) => {
-                use crate::sys::linux::{EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
-                let timeout_ms = match timeout {
-                    // Round up so a 100µs deadline does not spin at 0ms.
-                    Some(t) => {
-                        t.as_millis().min(i32::MAX as u128 - 1) as i32
-                            + i32::from(t.subsec_nanos() % 1_000_000 != 0)
-                    }
-                    None => -1,
-                };
-                let n = d.epoll.wait(&mut d.buf, timeout_ms)?;
-                for event in &d.buf[..n] {
-                    let bits = event.events;
-                    let token = event.data;
-                    out.push(Event {
-                        token,
-                        readable: bits & (EPOLLIN | EPOLLHUP | EPOLLERR | EPOLLRDHUP) != 0,
-                        writable: bits & (EPOLLOUT | EPOLLERR | EPOLLHUP) != 0,
-                    });
-                }
-                Ok(())
+        let timeout_ms = match timeout {
+            // Round up so a 100µs deadline does not spin at 0ms.
+            Some(t) => {
+                t.as_millis().min(i32::MAX as u128 - 1) as i32
+                    + i32::from(t.subsec_nanos() % 1_000_000 != 0)
             }
-            Driver::Portable(d) => {
-                for (&token, &interest) in &d.registered {
-                    if interest.readable || interest.writable {
-                        out.push(Event {
-                            token,
-                            readable: interest.readable,
-                            writable: interest.writable,
-                        });
-                    }
-                }
-                Ok(())
-            }
+            None => -1,
+        };
+        let n = self.epoll.wait(&mut self.buf, timeout_ms)?;
+        for event in &self.buf[..n] {
+            let bits = event.events;
+            out.push(Event {
+                token: event.data,
+                readable: bits & (EPOLLIN | EPOLLHUP | EPOLLERR | EPOLLRDHUP) != 0,
+                writable: bits & (EPOLLOUT | EPOLLERR | EPOLLHUP) != 0,
+            });
         }
+        Ok(())
     }
-}
-
-/// State of the epoll driver.
-#[cfg(target_os = "linux")]
-pub(crate) struct EpollDriver {
-    epoll: crate::sys::linux::Epoll,
-    buf: Vec<crate::sys::linux::EpollEvent>,
-}
-
-/// State of the portable speculative driver.
-pub(crate) struct PortableDriver {
-    registered: HashMap<u64, Interest>,
-}
-
-#[cfg(target_os = "linux")]
-fn epoll_mask(interest: Interest) -> u32 {
-    use crate::sys::linux::{EPOLLIN, EPOLLOUT, EPOLLRDHUP};
-    let mut mask = 0;
-    if interest.readable {
-        mask |= EPOLLIN | EPOLLRDHUP;
-    }
-    if interest.writable {
-        mask |= EPOLLOUT;
-    }
-    mask
 }
 
 #[cfg(test)]
@@ -278,53 +117,18 @@ mod tests {
     use super::*;
 
     #[test]
-    fn driver_kind_resolves_explicit_values() {
-        assert_eq!(
-            DriverKind::Portable.resolve().unwrap(),
-            DriverKind::Portable
-        );
-        #[cfg(target_os = "linux")]
-        assert_eq!(DriverKind::Epoll.resolve().unwrap(), DriverKind::Epoll);
-    }
-
-    #[test]
-    fn portable_driver_reports_every_registered_fd() {
-        let mut driver = Driver::new(DriverKind::Portable).unwrap();
-        driver.register(3, 1, Interest::READ).unwrap();
-        driver
-            .register(
-                4,
-                2,
-                Interest {
-                    readable: false,
-                    writable: true,
-                },
-            )
-            .unwrap();
-        let mut events = Vec::new();
-        driver.wait(&mut events, Some(Duration::ZERO)).unwrap();
-        assert_eq!(events.len(), 2);
-        driver.deregister(3, 1);
-        driver.wait(&mut events, Some(Duration::ZERO)).unwrap();
-        assert_eq!(events.len(), 1);
-        assert_eq!(events[0].token, 2);
-        assert!(events[0].writable && !events[0].readable);
-    }
-
-    #[cfg(target_os = "linux")]
-    #[test]
     fn epoll_driver_reports_real_readiness() {
         use std::io::Write;
         use std::os::unix::io::AsRawFd;
         use std::os::unix::net::UnixStream;
-        let mut driver = Driver::new(DriverKind::Epoll).unwrap();
+        let mut poller = Poller::new().unwrap();
         let (mut tx, rx) = UnixStream::pair().unwrap();
-        driver.register(rx.as_raw_fd(), 9, Interest::READ).unwrap();
+        poller.register(rx.as_raw_fd(), 9, Interest::READ).unwrap();
         let mut events = Vec::new();
-        driver.wait(&mut events, Some(Duration::ZERO)).unwrap();
+        poller.wait(&mut events, Some(Duration::ZERO)).unwrap();
         assert!(events.is_empty(), "no bytes, no events");
         tx.write_all(b"!").unwrap();
-        driver
+        poller
             .wait(&mut events, Some(Duration::from_secs(1)))
             .unwrap();
         assert_eq!(events.len(), 1);

@@ -152,7 +152,7 @@ fn cache(o: &mut String, state: &ServerState) {
     }
 }
 
-/// Event-loop health: iteration-duration histogram, driver wait, wakeup
+/// Event-loop health: iteration-duration histogram, epoll wait, wakeup
 /// coalescing, timer-heap depth, connection-state census.
 fn event_loop(o: &mut String, stats: &LoopStats) {
     let iterations = stats.iterations.load(Ordering::Relaxed);

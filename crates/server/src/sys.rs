@@ -4,10 +4,9 @@
 //! readiness API: a C shim (needs a build script and a C toolchain) or
 //! direct `extern "C"` declarations against the libc that `std` already
 //! links. This module takes the second route and keeps the blast radius
-//! tiny: four syscall wrappers behind a safe [`Epoll`] handle, compiled
-//! only on Linux. Everything else in the crate stays `deny(unsafe_code)`.
+//! tiny: four syscall wrappers behind a safe [`linux::Epoll`] handle.
+//! Everything else in the crate stays `deny(unsafe_code)`.
 
-#[cfg(target_os = "linux")]
 pub(crate) mod linux {
     use std::io;
     use std::os::raw::c_int;

@@ -28,7 +28,8 @@
 //!   [`gf_support::SplitMix64`] finalizer — unique (the finalizer is a
 //!   bijection), well-spread, and cheap. Request ids draw from a global
 //!   counter; span ids draw from per-thread blocks so the ring push
-//!   never touches a contended cache line.
+//!   never touches a contended cache line. Both are XORed with a
+//!   per-process salt so separate processes issue different ids.
 //! * **Runtime kill switch.** [`set_enabled`]`(false)` short-circuits
 //!   span creation to one relaxed load — not even a clock read — which
 //!   is how the bench suite measures the `trace_overhead` ratio inside
@@ -204,15 +205,31 @@ pub fn set_enabled(on: bool) {
 
 static ID_COUNTER: AtomicU64 = AtomicU64::new(1);
 
+/// A per-process constant XORed into every request and span id, drawn
+/// once from the wall clock and the process id. Without it every process
+/// would issue the same id sequence, so ids would collide across
+/// restarts, instances and appended logs.
+fn process_salt() -> u64 {
+    static SALT: OnceLock<u64> = OnceLock::new();
+    *SALT.get_or_init(|| {
+        let nanos = std::time::SystemTime::now()
+            .duration_since(std::time::UNIX_EPOCH)
+            .map_or(0, |elapsed| elapsed.as_nanos() as u64);
+        SplitMix64::new(nanos ^ u64::from(std::process::id()).rotate_left(32)).next_u64()
+    })
+}
+
 /// A fresh unique id (request-scoped or ad hoc). SplitMix64's output
 /// function is a bijection of its seed, so distinct counter values give
-/// distinct ids while spreading them across the full 64-bit space.
-/// Counter values stay below `SPAN_ID_BLOCK_BITS` (40) bits in any
-/// realistic process, so they never collide with the seeds the span-id
-/// blocks use.
+/// distinct ids while spreading them across the full 64-bit space; the
+/// XOR with the per-process salt is a bijection too, so uniqueness within
+/// the process survives it. Counter values stay below
+/// `SPAN_ID_BLOCK_BITS` (40) bits in any realistic process, so they never
+/// collide with the seeds the span-id blocks use — and since span ids
+/// carry the same salt, the two id spaces stay disjoint.
 pub fn next_id() -> u64 {
     let n = ID_COUNTER.fetch_add(1, Ordering::Relaxed);
-    SplitMix64::new(n).next_u64()
+    SplitMix64::new(n).next_u64() ^ process_salt()
 }
 
 /// Span-id sequence numbers per claimed block: threads hand ids out of a
@@ -237,7 +254,7 @@ fn next_span_id() -> u64 {
             cursor = SPAN_ID_BLOCKS.fetch_add(1, Ordering::Relaxed) << SPAN_ID_BLOCK_BITS;
         }
         cell.set(cursor + 1);
-        SplitMix64::new(cursor).next_u64()
+        SplitMix64::new(cursor).next_u64() ^ process_salt()
     })
 }
 
@@ -510,6 +527,37 @@ mod tests {
         for _ in 0..10_000 {
             assert!(seen.insert(next_id()));
         }
+    }
+
+    /// Child half of [`first_ids_differ_across_processes`]: prints this
+    /// process's first id.
+    #[test]
+    #[ignore = "run as a child process by first_ids_differ_across_processes"]
+    fn print_first_id() {
+        println!("first-id={:016x}", next_id());
+    }
+
+    #[test]
+    fn first_ids_differ_across_processes() {
+        let first_id = || {
+            let output = std::process::Command::new(std::env::current_exe().unwrap())
+                .args([
+                    "--ignored",
+                    "--exact",
+                    "tests::print_first_id",
+                    "--nocapture",
+                ])
+                .output()
+                .expect("re-run the test binary");
+            assert!(output.status.success(), "{output:?}");
+            String::from_utf8(output.stdout)
+                .unwrap()
+                .lines()
+                .find_map(|line| line.strip_prefix("first-id=").map(str::to_string))
+                .expect("child printed its first id")
+        };
+        let (a, b) = (first_id(), first_id());
+        assert_ne!(a, b, "two processes issued the same first id");
     }
 
     #[test]

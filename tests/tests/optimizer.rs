@@ -6,12 +6,12 @@
 //! at-least-as-good elsewhere (the search tier), while spending at most
 //! 5% of the oracle's kernel evaluations. On top of that: constrained
 //! argmins against a constrained oracle, the `Infeasible` → `model` error
-//! taxonomy end to end, byte-golden wire responses on both event-loop
-//! drivers, and determinism across `eval_threads` counts.
+//! taxonomy end to end, byte-golden wire responses, and determinism
+//! across `eval_threads` counts.
 
 use gf_json::{FromJson, ToJson};
 use gf_server::client::Client;
-use gf_server::{DriverKind, Server, ServerConfig, ServerHandle};
+use gf_server::{Server, ServerConfig, ServerHandle};
 use greenfpga::api::{OptimizeRequest, OptimizeResponse, Query, QueryKind, ReplayRequest};
 use greenfpga::{
     catalog, ApiErrorCode, CompiledScenario, Constraint, Engine, EngineConfig, Objective,
@@ -357,7 +357,7 @@ fn infeasible_budget_is_a_model_error_end_to_end() {
     assert_eq!(error.http_status(), 422);
     assert_eq!(error.exit_code(), 3);
 
-    let handle = spawn_server(DriverKind::Auto);
+    let handle = spawn_server();
     let mut client = Client::connect(handle.addr()).expect("connect");
     let body = request.to_json().to_json_string().unwrap();
     let (status, text) = client
@@ -368,11 +368,10 @@ fn infeasible_budget_is_a_model_error_end_to_end() {
     handle.shutdown();
 }
 
-fn spawn_server(driver: DriverKind) -> ServerHandle {
+fn spawn_server() -> ServerHandle {
     let config = ServerConfig {
         addr: "127.0.0.1:0".to_string(),
         workers: 2,
-        driver,
         idle_timeout: std::time::Duration::from_secs(2),
         ..ServerConfig::default()
     };
@@ -410,32 +409,30 @@ fn wire_requests() -> Vec<OptimizeRequest> {
 }
 
 #[test]
-fn served_optimize_responses_are_byte_golden_on_both_drivers() {
+fn served_optimize_responses_are_byte_golden() {
     // The served body must be byte-for-byte the engine's own encoding of
-    // the same query — on the raw-epoll driver and the portable fallback.
+    // the same query.
     let engine = Engine::with_defaults().unwrap();
-    for driver in [DriverKind::Epoll, DriverKind::Portable] {
-        let handle = spawn_server(driver);
-        let mut client = Client::connect(handle.addr()).expect("connect");
-        for request in wire_requests() {
-            let golden = engine
-                .run(&Query::Optimize(request.clone()))
-                .expect("engine optimize")
-                .result_json()
-                .to_json_string()
-                .expect("serialize golden");
-            let body = request.to_json().to_json_string().unwrap();
-            let (status, text) = client
-                .post(QueryKind::Optimize.path(), &body)
-                .expect("round-trip");
-            assert_eq!(status, 200, "{driver:?}: {text}");
-            assert_eq!(text, golden, "{driver:?}: served bytes diverge");
-            // And the typed decoder accepts the served body.
-            OptimizeResponse::from_json(&gf_json::parse(&text).unwrap())
-                .expect("typed decode of served optimize response");
-        }
-        handle.shutdown();
+    let handle = spawn_server();
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    for request in wire_requests() {
+        let golden = engine
+            .run(&Query::Optimize(request.clone()))
+            .expect("engine optimize")
+            .result_json()
+            .to_json_string()
+            .expect("serialize golden");
+        let body = request.to_json().to_json_string().unwrap();
+        let (status, text) = client
+            .post(QueryKind::Optimize.path(), &body)
+            .expect("round-trip");
+        assert_eq!(status, 200, "{text}");
+        assert_eq!(text, golden, "served bytes diverge");
+        // And the typed decoder accepts the served body.
+        OptimizeResponse::from_json(&gf_json::parse(&text).unwrap())
+            .expect("typed decode of served optimize response");
     }
+    handle.shutdown();
 }
 
 #[test]

@@ -1,7 +1,7 @@
 //! Integration suite for the first-class scenario layer: the named
 //! catalog, the time-series carbon replay, and the scored verdicts —
 //! golden-matched bit-for-bit across the direct engine, the HTTP routes
-//! (on both event-loop drivers), and the CLI's query path.
+//! and the CLI's query path.
 //!
 //! Bit-identity works for the same reason as in `serve.rs`: the wire
 //! format serializes `f64` with shortest round-trip formatting, so
@@ -10,7 +10,7 @@
 
 use gf_json::{FromJson, Value};
 use gf_server::client::Client;
-use gf_server::{DriverKind, Server, ServerConfig, ServerHandle};
+use gf_server::{Server, ServerConfig, ServerHandle};
 use greenfpga::api::{
     CatalogRequest, CatalogResponse, Query, QueryKind, ReplayRequest, ReplayResponse, ScenarioRef,
     ScenarioRunRequest, ScenarioRunResponse,
@@ -20,25 +20,14 @@ use greenfpga::{
     Estimator, OperatingPoint, Outcome, ScenarioSpec, SeriesRef, Verdict, HOURS_PER_YEAR,
 };
 
-fn spawn_server(driver: DriverKind) -> ServerHandle {
+fn spawn_server() -> ServerHandle {
     let config = ServerConfig {
         addr: "127.0.0.1:0".to_string(),
         workers: 2,
         idle_timeout: std::time::Duration::from_secs(2),
-        driver,
         ..ServerConfig::default()
     };
     Server::bind(config).expect("bind ephemeral server").spawn()
-}
-
-/// The drivers available on this platform: the portable fallback always,
-/// plus raw epoll where the OS provides it.
-fn drivers() -> Vec<DriverKind> {
-    if cfg!(target_os = "linux") {
-        vec![DriverKind::Portable, DriverKind::Epoll]
-    } else {
-        vec![DriverKind::Portable]
-    }
 }
 
 fn post(client: &mut Client, path: &str, body: &str) -> (u16, Value) {
@@ -92,37 +81,35 @@ fn every_cataloged_id_matches_the_direct_computation() {
 
 #[test]
 fn named_scenarios_are_bit_identical_across_http_cli_and_engine() {
-    // One engine outcome per id, compared against the served body of both
-    // drivers AND the CLI's `--json` document (the CLI prints
-    // `outcome.result_json()` — the same value `decode_result` parses).
+    // One engine outcome per id, compared against the served body AND the
+    // CLI's `--json` document (the CLI prints `outcome.result_json()` —
+    // the same value `decode_result` parses).
     let engine = Engine::with_defaults().unwrap();
-    for driver in drivers() {
-        let handle = spawn_server(driver);
-        let mut client = Client::connect(handle.addr()).expect("connect");
-        for entry in catalog() {
-            let Outcome::Scenario(local) = engine.run(&scenario_query(entry.id)).unwrap() else {
-                panic!("wrong outcome kind");
-            };
-            let body = format!(r#"{{"id": "{}"}}"#, entry.id);
-            let (status, value) = post(&mut client, QueryKind::Scenario.path(), &body);
-            assert_eq!(status, 200, "{driver:?} {}: {value:?}", entry.id);
-            let served = ScenarioRunResponse::from_json(&value).expect("typed decode");
-            assert_eq!(served, local, "{driver:?} {}", entry.id);
-            // The CLI's JSON document is the same result value serialized
-            // by the same writer.
-            let cli_json = Outcome::Scenario(local.clone())
-                .result_json()
-                .to_json_string()
-                .unwrap();
-            let http_json = value.to_json_string().unwrap();
-            assert_eq!(cli_json, http_json, "{driver:?} {}", entry.id);
-        }
-        handle.shutdown();
+    let handle = spawn_server();
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    for entry in catalog() {
+        let Outcome::Scenario(local) = engine.run(&scenario_query(entry.id)).unwrap() else {
+            panic!("wrong outcome kind");
+        };
+        let body = format!(r#"{{"id": "{}"}}"#, entry.id);
+        let (status, value) = post(&mut client, QueryKind::Scenario.path(), &body);
+        assert_eq!(status, 200, "{}: {value:?}", entry.id);
+        let served = ScenarioRunResponse::from_json(&value).expect("typed decode");
+        assert_eq!(served, local, "{}", entry.id);
+        // The CLI's JSON document is the same result value serialized by
+        // the same writer.
+        let cli_json = Outcome::Scenario(local.clone())
+            .result_json()
+            .to_json_string()
+            .unwrap();
+        let http_json = value.to_json_string().unwrap();
+        assert_eq!(cli_json, http_json, "{}", entry.id);
     }
+    handle.shutdown();
 }
 
 #[test]
-fn replay_and_catalog_routes_serve_golden_bodies_on_both_drivers() {
+fn replay_and_catalog_routes_serve_golden_bodies() {
     let engine = Engine::with_defaults().unwrap();
     let replay_query = Query::Replay(ReplayRequest {
         scenario: ScenarioRef::Catalog {
@@ -141,27 +128,25 @@ fn replay_and_catalog_routes_serve_golden_bodies_on_both_drivers() {
     else {
         panic!("wrong outcome kind");
     };
-    for driver in drivers() {
-        let handle = spawn_server(driver);
-        let mut client = Client::connect(handle.addr()).expect("connect");
-        let body = r#"{"id": "crypto_fleet_1m_5y", "series": "solar_duck", "interpolate": true}"#;
-        let (status, value) = post(&mut client, QueryKind::Replay.path(), body);
-        assert_eq!(status, 200, "{driver:?}: {value:?}");
-        let served = ReplayResponse::from_json(&value).expect("typed decode");
-        assert_eq!(served, local_replay, "{driver:?}");
-        assert_eq!(served.replay.steps, HOURS_PER_YEAR as u64);
+    let handle = spawn_server();
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    let body = r#"{"id": "crypto_fleet_1m_5y", "series": "solar_duck", "interpolate": true}"#;
+    let (status, value) = post(&mut client, QueryKind::Replay.path(), body);
+    assert_eq!(status, 200, "{value:?}");
+    let served = ReplayResponse::from_json(&value).expect("typed decode");
+    assert_eq!(served, local_replay);
+    assert_eq!(served.replay.steps, HOURS_PER_YEAR as u64);
 
-        let (status, text) = client.get(QueryKind::Catalog.path()).expect("catalog GET");
-        assert_eq!(status, 200, "{driver:?}: {text}");
-        let value = gf_json::parse(&text).unwrap();
-        let served = CatalogResponse::from_json(&value).expect("typed decode");
-        assert_eq!(served, local_catalog, "{driver:?}");
-        assert_eq!(served.entries.len(), catalog().len());
-        // POSTing the GET-only route is a 405, not a decode error.
-        let (status, value) = post(&mut client, QueryKind::Catalog.path(), "{}");
-        assert_eq!(status, 405, "{driver:?}: {value:?}");
-        handle.shutdown();
-    }
+    let (status, text) = client.get(QueryKind::Catalog.path()).expect("catalog GET");
+    assert_eq!(status, 200, "{text}");
+    let value = gf_json::parse(&text).unwrap();
+    let served = CatalogResponse::from_json(&value).expect("typed decode");
+    assert_eq!(served, local_catalog);
+    assert_eq!(served.entries.len(), catalog().len());
+    // POSTing the GET-only route is a 405, not a decode error.
+    let (status, value) = post(&mut client, QueryKind::Catalog.path(), "{}");
+    assert_eq!(status, 405, "{value:?}");
+    handle.shutdown();
 }
 
 #[test]

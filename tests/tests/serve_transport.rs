@@ -1,6 +1,6 @@
 //! Transport-level tests for the event-loop server: responses must be
 //! **byte-identical** no matter how the network fragments the request or
-//! how slowly the client drains the response, on both readiness drivers.
+//! how slowly the client drains the response.
 //!
 //! Where `serve.rs` golden-matches decoded structs against direct engine
 //! calls, this suite attacks the framing itself: 1-byte request segments,
@@ -13,7 +13,7 @@ use std::net::TcpStream;
 use std::time::Duration;
 
 use gf_json::FromJson;
-use gf_server::{DriverKind, Server, ServerConfig, ServerHandle};
+use gf_server::{Server, ServerConfig, ServerHandle};
 use greenfpga::api::EvaluateResponse;
 use greenfpga::{Domain, Estimator, OperatingPoint, ScenarioSpec};
 
@@ -330,38 +330,5 @@ fn idle_keep_alive_connection_closes_silently() {
     // bytes owed (a 408 would be wrong — nothing was asked).
     let mut chunk = [0u8; 16];
     assert_eq!(stream.read(&mut chunk).unwrap(), 0, "silent close");
-    handle.shutdown();
-}
-
-#[test]
-fn portable_driver_serves_identical_bytes() {
-    let epoll_default = spawn_server();
-    let golden = golden_response(&epoll_default);
-    epoll_default.shutdown();
-
-    let handle = spawn_with(ServerConfig {
-        addr: "127.0.0.1:0".to_string(),
-        workers: 2,
-        driver: DriverKind::Portable,
-        ..ServerConfig::default()
-    });
-    // Clean, fragmented, and slow-reader paths all hit the same bytes on
-    // the speculative-sweep driver.
-    assert_eq!(
-        masked(&golden_response(&handle)),
-        masked(&golden),
-        "clean round-trip"
-    );
-    let mut stream = connect(&handle);
-    for &byte in &evaluate_request_bytes(true) {
-        stream.write_all(&[byte]).unwrap();
-    }
-    let raw = read_response(|buf| stream.read(&mut buf[..1]));
-    assert_eq!(
-        masked(&raw),
-        masked(&golden),
-        "fragmented + slow reader on portable"
-    );
-    assert_matches_direct(&raw);
     handle.shutdown();
 }
