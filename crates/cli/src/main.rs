@@ -28,11 +28,12 @@ mod args;
 use std::io::Read;
 use std::process::ExitCode;
 
-use gf_json::{object, FromJson, ToJson, Value};
+use gf_json::{FromJson, ToJson, Value};
 use greenfpga::api::{
-    CatalogRequest, CompareRequest, EvaluateRequest, FrontierResponse, GridRequest,
-    IndustryRequest, MonteCarloRequest, MonteCarloResponse, OptimizeRequest, Outcome, Query,
-    ReplayRequest, ScenarioRef, ScenarioRunRequest, SweepRequest, TornadoRequest,
+    grid_stream_head, grid_stream_rows, grid_stream_tail, CatalogRequest, CompareRequest,
+    EvaluateRequest, FrontierResponse, GridRequest, IndustryRequest, MonteCarloRequest,
+    MonteCarloResponse, OptimizeRequest, Outcome, Query, ReplayRequest, ScenarioRef,
+    ScenarioRunRequest, SweepRequest, TornadoRequest,
 };
 use greenfpga::{
     catalog_entry, csv_from_rows, render_table, ApiError, CfpBreakdown, CrossoverRequest, Domain,
@@ -394,37 +395,14 @@ fn run_grid_stream(engine: &Engine, command: &Command, json: bool) -> Result<(),
     let ser =
         |e: gf_json::JsonError| ApiError::internal(format!("result serialization failed: {e}"));
     if json {
-        let mut head = object([
-            ("domain", stream.domain().to_json()),
-            ("x_axis", stream.x_axis().to_json()),
-            ("x_values", stream.x_values().to_vec().to_json()),
-            ("y_axis", stream.y_axis().to_json()),
-            ("y_values", stream.y_values().to_vec().to_json()),
-        ])
-        .to_json_string()
-        .map_err(ser)?;
-        head.pop(); // the closing '}' — the object stays open for the rows
-        head.push_str(",\"ratios\":[");
-        out.write_all(head.as_bytes()).map_err(io)?;
-        let mut first = true;
+        out.write_all(grid_stream_head(&stream).map_err(ser)?.as_bytes())
+            .map_err(io)?;
         while let Some(block) = stream.next_block() {
-            let block = block?;
-            let mut fragment = String::new();
-            for row in 0..block.rows() {
-                if !first {
-                    fragment.push(',');
-                }
-                first = false;
-                let cells: Vec<f64> = block.row(row).collect();
-                fragment.push_str(&cells.to_json().to_json_string().map_err(ser)?);
-            }
-            out.write_all(fragment.as_bytes()).map_err(io)?;
+            out.write_all(grid_stream_rows(&block?).map_err(ser)?.as_bytes())
+                .map_err(io)?;
             out.flush().map_err(io)?;
         }
-        let fraction = Value::Number(stream.fpga_winning_fraction())
-            .to_json_string()
-            .map_err(ser)?;
-        writeln!(out, "],\"fpga_winning_fraction\":{fraction}}}").map_err(io)?;
+        writeln!(out, "{}", grid_stream_tail(&stream).map_err(ser)?).map_err(io)?;
     } else {
         writeln!(
             out,

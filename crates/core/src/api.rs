@@ -26,6 +26,46 @@
 //!   "point": {"applications": 5, "lifetime_years": 2.0, "volume": 1000000}
 //! }
 //! ```
+//!
+//! ## One declaration per wire type
+//!
+//! Each record's members are listed once, in wire order, in a
+//! `wire_record!` declaration that generates both its encoder and its
+//! decoder. A member line names the wire key, the field and its rule:
+//!
+//! * `"key": req field` — always written; decoding fails when it is absent
+//!   (an `Option` field reads absence and `null` as `None`);
+//! * `"key": or field = default` — always written; absent or `null` decodes
+//!   to the default;
+//! * `"key": omit field = default` — like `or`, but left out of the
+//!   encoding while it equals the default;
+//! * `("lo", "hi"): rule field` — a tuple field spread over two members;
+//! * `"key" => method` — derived: written from `self.method()`, ignored on
+//!   decode;
+//! * `Record(..field)` — the field's own members spliced in first (the
+//!   flat scenario members of every request);
+//! * `as Codec` after a field or method — a member type with no
+//!   `ToJson`/`FromJson` of its own (kilograms, knob maps, ranges).
+//!
+//! A record may name a `check` that validates the decoded value. The six
+//! string enums are declared by `wire_enum!`, and the query kinds by the
+//! `query_kinds!` table at the end of the module: one row per kind gives
+//! its variant, wire id (also its `/v1/<id>` route), HTTP method, request
+//! type and response type.
+//!
+//! So adding a field is one member line in its record's declaration, and
+//! adding a query kind is one row in the table plus its engine arm. Types
+//! whose wire shape is irregular ([`ScenarioRef`], [`SeriesRef`],
+//! [`Objective`], [`Constraint`], [`ApiError`]) stay hand-written.
+//!
+//! ## The frozen corpus
+//!
+//! `tests/fixtures/wire/` holds the request, response and error bytes of
+//! every kind, and the `wire_corpus` integration test byte-compares the
+//! codec and the engine against it. A change that moves a wire byte fails
+//! that test. When the change is intended, re-freeze the corpus with
+//! `cargo test -p gf-tests --test wire_corpus -- --ignored regenerate` and
+//! give the reason for every changed entry in `CHANGES.md`.
 
 use gf_json::{object, FromJson, JsonError, ToJson, Value};
 
@@ -35,13 +75,174 @@ use crate::optimize::{
 use crate::scenario::{CarbonIntensitySeries, CatalogEntry, ReplayOutcome, Verdict};
 use crate::{
     ApiError, ApiErrorCode, CfpBreakdown, Crossover, CrossoverDirection, Domain, EstimatorParams,
-    FrontierResult, GridSweep, Knob, OperatingPoint, PlatformComparison, PlatformKind,
-    SensitivityEntry, SweepAxis, SweepPoint, SweepSeries, TornadoAnalysis, UncertaintyReport,
+    FrontierResult, GridBlock, GridStream, GridSweep, Knob, OperatingPoint, PlatformComparison,
+    PlatformKind, SensitivityEntry, SweepAxis, SweepPoint, SweepSeries, TornadoAnalysis,
+    UncertaintyReport,
 };
 use gf_units::Carbon;
 
 /// Version of the `Query`/`Outcome` JSON envelope (the `"v"` member).
 pub const API_VERSION: u64 = 1;
+
+// ---------------------------------------------------------------------------
+// Member codecs
+// ---------------------------------------------------------------------------
+
+/// How one record member's Rust value maps to JSON. [`Plain`] defers to
+/// the type's own [`ToJson`]/[`FromJson`]; the other codecs serve member
+/// types that have none.
+trait Codec<T> {
+    /// Encodes the member's value.
+    fn encode(value: &T) -> Value;
+    /// Decodes member `key` (`None` when absent), reporting schema errors
+    /// at the member's path.
+    fn decode(member: Option<&Value>, key: &str) -> Result<T, JsonError>;
+}
+
+/// The member type's own `ToJson`/`FromJson`.
+struct Plain;
+
+impl<T: ToJson + FromJson> Codec<T> for Plain {
+    fn encode(value: &T) -> Value {
+        value.to_json()
+    }
+
+    fn decode(member: Option<&Value>, key: &str) -> Result<T, JsonError> {
+        T::from_member(member).map_err(|e| e.at_member(key))
+    }
+}
+
+/// A [`Carbon`] amount as a number of kilograms.
+struct Kg;
+
+impl Codec<Carbon> for Kg {
+    fn encode(value: &Carbon) -> Value {
+        Value::Number(value.as_kg())
+    }
+
+    fn decode(member: Option<&Value>, key: &str) -> Result<Carbon, JsonError> {
+        <Plain as Codec<f64>>::decode(member, key).map(Carbon::from_kg)
+    }
+}
+
+/// Knob overrides as a `{"<knob id>": value}` object, in application
+/// order.
+struct KnobMap;
+
+impl Codec<Vec<(Knob, f64)>> for KnobMap {
+    fn encode(knobs: &Vec<(Knob, f64)>) -> Value {
+        Value::Object(
+            knobs
+                .iter()
+                .map(|&(knob, value)| (knob.id().to_string(), Value::Number(value)))
+                .collect(),
+        )
+    }
+
+    fn decode(member: Option<&Value>, key: &str) -> Result<Vec<(Knob, f64)>, JsonError> {
+        let members = object_member(member, key, "expected an object of knob values")?;
+        let mut knobs = Vec::with_capacity(members.len());
+        for (id, member) in members {
+            let at = || format!("{key}.{id}");
+            let knob = Knob::parse_id(id).ok_or_else(|| JsonError::schema(at(), "unknown knob"))?;
+            if knobs.iter().any(|&(seen, _)| seen == knob) {
+                return Err(JsonError::schema(
+                    at(),
+                    format!("knob '{id}' overridden more than once"),
+                ));
+            }
+            let value = member
+                .as_f64()
+                .ok_or_else(|| JsonError::schema(at(), "expected a number"))?;
+            knobs.push((knob, value));
+        }
+        Ok(knobs)
+    }
+}
+
+/// Searched-axis values as a `{"<axis id>": value}` object.
+struct AxisMap;
+
+impl Codec<Vec<(SweepAxis, f64)>> for AxisMap {
+    fn encode(values: &Vec<(SweepAxis, f64)>) -> Value {
+        Value::Object(
+            values
+                .iter()
+                .map(|&(axis, value)| (axis.wire_id().to_string(), Value::Number(value)))
+                .collect(),
+        )
+    }
+
+    fn decode(member: Option<&Value>, key: &str) -> Result<Vec<(SweepAxis, f64)>, JsonError> {
+        object_member(member, key, "expected an object of knob values")?
+            .iter()
+            .map(|(id, value)| {
+                let axis = SweepAxis::from_json(&Value::String(id.clone()))
+                    .map_err(|e| e.at_member(key))?;
+                let value = value
+                    .as_f64()
+                    .ok_or_else(|| JsonError::schema(key, "expected a numeric knob value"))?;
+                Ok((axis, value))
+            })
+            .collect()
+    }
+}
+
+/// A `[low, high]` pair.
+struct Range;
+
+impl Codec<(f64, f64)> for Range {
+    fn encode(&(low, high): &(f64, f64)) -> Value {
+        Value::Array(vec![Value::Number(low), Value::Number(high)])
+    }
+
+    fn decode(member: Option<&Value>, key: &str) -> Result<(f64, f64), JsonError> {
+        decode_pair(member, key, Value::as_f64, "expected two numbers")
+    }
+}
+
+impl Codec<(u64, u64)> for Range {
+    fn encode(&(low, high): &(u64, u64)) -> Value {
+        Value::Array(vec![low.to_json(), high.to_json()])
+    }
+
+    fn decode(member: Option<&Value>, key: &str) -> Result<(u64, u64), JsonError> {
+        decode_pair(
+            member,
+            key,
+            Value::as_u64,
+            "expected two non-negative integers",
+        )
+    }
+}
+
+fn decode_pair<T>(
+    member: Option<&Value>,
+    key: &str,
+    item: fn(&Value) -> Option<T>,
+    message: &str,
+) -> Result<(T, T), JsonError> {
+    match member.and_then(Value::as_array) {
+        Some([low, high]) => item(low)
+            .zip(item(high))
+            .ok_or_else(|| JsonError::schema(key, message)),
+        _ => Err(JsonError::schema(key, "expected [low, high]")),
+    }
+}
+
+/// The members of an object-valued member, or a schema error at `key`.
+fn object_member<'v>(
+    member: Option<&'v Value>,
+    key: &str,
+    message: &str,
+) -> Result<&'v [(String, Value)], JsonError> {
+    match member {
+        None => Err(JsonError::schema(key, "missing required field")),
+        Some(value) => value
+            .as_object()
+            .ok_or_else(|| JsonError::schema(key, message)),
+    }
+}
 
 /// Reads a required object member.
 fn field<'v>(value: &'v Value, key: &'static str) -> Result<&'v Value, JsonError> {
@@ -50,314 +251,405 @@ fn field<'v>(value: &'v Value, key: &'static str) -> Result<&'v Value, JsonError
         .ok_or_else(|| JsonError::schema(key, "missing required field"))
 }
 
-/// Reads and decodes a required object member.
-fn decode<T: FromJson>(value: &Value, key: &'static str) -> Result<T, JsonError> {
-    T::from_json(field(value, key)?).map_err(|e| prefix_schema(key, e))
-}
-
-/// Decodes an optional object member, falling back when absent or null.
-fn decode_or<T: FromJson>(value: &Value, key: &'static str, fallback: T) -> Result<T, JsonError> {
+/// Decodes member `key` through codec `C`, falling back when it is absent
+/// or `null`.
+fn member_or<T, C: Codec<T>>(value: &Value, key: &str, fallback: T) -> Result<T, JsonError> {
     match value.get(key) {
         None | Some(Value::Null) => Ok(fallback),
-        Some(member) => T::from_json(member).map_err(|e| prefix_schema(key, e)),
+        member => C::decode(member, key),
     }
 }
 
-/// Prefixes the field path of a nested schema error, so "lifetime_years"
-/// inside "point" reports as `point.lifetime_years`.
-fn prefix_schema(key: &str, error: JsonError) -> JsonError {
-    match error {
-        JsonError::Schema { at, message } => JsonError::Schema {
-            at: if at.is_empty()
-                || at == key
-                || matches!(at.as_str(), "number" | "string" | "bool" | "array")
-            {
-                key.to_string()
-            } else {
-                format!("{key}.{at}")
-            },
-            message,
-        },
-        other => other,
+/// The members a record encoding starts from: the spliced members of its
+/// flattened field, if it has one, with room for `own` more.
+fn record_members<const N: usize>(flattened: [Value; N], own: usize) -> Vec<(String, Value)> {
+    let mut members = match flattened.into_iter().next() {
+        Some(Value::Object(members)) => members,
+        Some(_) => unreachable!("flattened members encode to objects"),
+        None => Vec::new(),
+    };
+    members.reserve(own);
+    members
+}
+
+/// `true` when an `omit` member differs from its default and is written.
+fn differs<T: PartialEq>(value: &T, default: &T) -> bool {
+    value != default
+}
+
+/// Fails with `message` at `at` unless `value` is an object.
+fn require_object(value: &Value, at: &str, message: &str) -> Result<(), JsonError> {
+    match value {
+        Value::Object(_) => Ok(()),
+        _ => Err(JsonError::schema(at, message)),
     }
 }
 
-impl ToJson for Domain {
+/// Decodes a `wire_enum!` string. Enums declared with a noun match
+/// case-insensitively and name the noun in their errors; the others list
+/// their ids.
+fn decode_enum<T>(
+    value: &Value,
+    at: &str,
+    noun: Option<&str>,
+    ids: &[&str],
+    parse: fn(&str) -> Option<T>,
+) -> Result<T, JsonError> {
+    let Some(noun) = noun else {
+        return value.as_str().and_then(parse).ok_or_else(|| {
+            let quoted: Vec<String> = ids.iter().map(|id| format!("\"{id}\"")).collect();
+            let (last, rest) = quoted.split_last().expect("wire enums have variants");
+            JsonError::schema(at, format!("expected {} or {last}", rest.join(", ")))
+        });
+    };
+    let id = value.as_str().ok_or_else(|| {
+        let article = if noun.starts_with(['a', 'e', 'i', 'o', 'u']) {
+            "an"
+        } else {
+            "a"
+        };
+        JsonError::schema(at, format!("expected {article} {noun} string"))
+    })?;
+    parse(&id.to_ascii_lowercase())
+        .ok_or_else(|| JsonError::schema(at, format!("unknown {noun} '{id}'")))
+}
+
+// ---------------------------------------------------------------------------
+// Declaration macros
+// ---------------------------------------------------------------------------
+
+/// The codec of a member: [`Plain`] unless one is named.
+macro_rules! wire_codec {
+    () => {
+        Plain
+    };
+    ($codec:ident) => {
+        $codec
+    };
+}
+
+/// Encodes or decodes one stored member by its rule (see the module docs).
+macro_rules! wire_member {
+    (encode $members:ident, $rule:ident ($lo:literal, $hi:literal), $v:expr, $c:ty $(, $d:expr)?) => {
+        wire_member!(encode $members, $rule $lo, $v.0, $c $(, ($d).0)?);
+        wire_member!(encode $members, $rule $hi, $v.1, $c $(, ($d).1)?);
+    };
+    (encode $members:ident, omit $key:literal, $v:expr, $c:ty, $d:expr) => {
+        if differs(&$v, &$d) {
+            $members.push(($key.to_string(), <$c as Codec<_>>::encode(&$v)));
+        }
+    };
+    (encode $members:ident, $rule:ident $key:literal, $v:expr, $c:ty $(, $d:expr)?) => {
+        $members.push(($key.to_string(), <$c as Codec<_>>::encode(&$v)))
+    };
+    (decode $value:ident, $rule:ident ($lo:literal, $hi:literal), $c:ty $(, $d:expr)?) => {
+        wire_member!(decode $value, $rule $lo, $c $(, ($d).0)?)
+            .and_then(|lo| wire_member!(decode $value, $rule $hi, $c $(, ($d).1)?).map(|hi| (lo, hi)))
+    };
+    (decode $value:ident, req $key:literal, $c:ty) => {
+        <$c as Codec<_>>::decode($value.get($key), $key)
+    };
+    (decode $value:ident, $rule:ident $key:literal, $c:ty, $d:expr) => {
+        member_or::<_, $c>($value, $key, $d)
+    };
+}
+
+/// Declares the wire members of one or more records once and generates
+/// their `ToJson` and `FromJson` impls (grammar in the module docs).
+macro_rules! wire_record {
+    ($(
+        $name:ident $((..$flat:ident))? $(check $check:path)? {
+            $(
+                $keys:tt
+                $( : $rule:ident $field:ident $(as $codec:ident)? $(= $default:expr)? )?
+                $( => $($derived:ident).+ $(as $dcodec:ident)? )?
+            ),* $(,)?
+        }
+    )*) => {$(
+        impl ToJson for $name {
+            fn to_json(&self) -> Value {
+                let own: &[&str] = &[$(stringify!($keys)),*];
+                #[allow(unused_mut)] // a record of spliced members only pushes none
+                let mut members = record_members([$(self.$flat.to_json())?], own.len());
+                $(
+                    $( wire_member!(
+                        encode members, $rule $keys, self.$field, wire_codec!($($codec)?)
+                        $(, $default)?
+                    ); )?
+                    $( members.push((
+                        $keys.to_string(),
+                        <wire_codec!($($dcodec)?) as Codec<_>>::encode(&self.$($derived).+()),
+                    )); )?
+                )*
+                Value::Object(members)
+            }
+        }
+
+        impl FromJson for $name {
+            fn from_json(value: &Value) -> Result<$name, JsonError> {
+                $( let $flat = FromJson::from_json(value)?; )?
+                $($(
+                    let $field =
+                        wire_member!(decode value, $rule $keys, wire_codec!($($codec)?) $(, $default)?)?;
+                )?)*
+                let record = $name { $($flat,)? $($($field,)?)* };
+                $( $check(&record, value)?; )?
+                Ok(record)
+            }
+        }
+    )*};
+}
+
+/// Declares string enums once: each variant's canonical wire id and its
+/// accepted aliases. Generates `wire_id`/`from_wire_id` and the
+/// `ToJson`/`FromJson` impls. An enum `named` by a noun matches
+/// case-insensitively.
+macro_rules! wire_enum {
+    ($(
+        $name:ident at $at:literal $(named $noun:literal)? {
+            $( $variant:ident = $id:literal $(| $alias:literal)* ),* $(,)?
+        }
+    )*) => {$(
+        impl $name {
+            /// The canonical wire id.
+            pub(crate) fn wire_id(self) -> &'static str {
+                match self {
+                    $( $name::$variant => $id, )*
+                }
+            }
+
+            /// Resolves a wire id or alias, matched exactly.
+            pub(crate) fn from_wire_id(id: &str) -> Option<$name> {
+                match id {
+                    $( $id $(| $alias)* => Some($name::$variant), )*
+                    _ => None,
+                }
+            }
+        }
+
+        impl ToJson for $name {
+            fn to_json(&self) -> Value {
+                Value::String(self.wire_id().to_string())
+            }
+        }
+
+        impl FromJson for $name {
+            fn from_json(value: &Value) -> Result<$name, JsonError> {
+                let noun: &[&str] = &[$($noun)?];
+                decode_enum(value, $at, noun.first().copied(), &[$($id),*], $name::from_wire_id)
+            }
+        }
+    )*};
+}
+
+wire_enum! {
+    Domain at "domain" named "domain" {
+        Dnn = "dnn",
+        ImageProcessing = "imgproc" | "image" | "imageprocessing" | "image_processing",
+        Crypto = "crypto" | "cryptography",
+    }
+    SweepAxis at "axis" named "axis" {
+        Applications = "apps" | "applications",
+        LifetimeYears = "lifetime",
+        VolumeUnits = "volume",
+    }
+    PlatformKind at "winner" { Fpga = "FPGA", Asic = "ASIC" }
+    CrossoverDirection at "direction" { AsicToFpga = "A2F", FpgaToAsic = "F2A" }
+    OptPlatform at "platform" { Fpga = "fpga", Asic = "asic" }
+    SolverKind at "solver" { Analytic = "analytic", Search = "search" }
+}
+
+impl ToJson for Knob {
     fn to_json(&self) -> Value {
         Value::String(self.id().to_string())
     }
 }
 
-impl FromJson for Domain {
-    fn from_json(value: &Value) -> Result<Domain, JsonError> {
-        let id = value
-            .as_str()
-            .ok_or_else(|| JsonError::schema("domain", "expected a domain string"))?;
-        Domain::parse_id(id)
-            .ok_or_else(|| JsonError::schema("domain", format!("unknown domain '{id}'")))
+impl FromJson for Knob {
+    fn from_json(value: &Value) -> Result<Knob, JsonError> {
+        let id = String::from_json(value)?;
+        Knob::parse_id(&id).ok_or_else(|| JsonError::schema("", format!("unknown knob '{id}'")))
     }
 }
 
-impl ToJson for SweepAxis {
-    fn to_json(&self) -> Value {
-        let id = match self {
-            SweepAxis::Applications => "apps",
-            SweepAxis::LifetimeYears => "lifetime",
-            SweepAxis::VolumeUnits => "volume",
-        };
-        Value::String(id.to_string())
+// ---------------------------------------------------------------------------
+// Model results
+// ---------------------------------------------------------------------------
+
+wire_record! {
+    Crossover {
+        "at": req at,
+        "direction": req direction,
+    }
+    OperatingPoint check point_is_object {
+        "applications": or applications = OperatingPoint::paper_default().applications,
+        "lifetime_years": or lifetime_years = OperatingPoint::paper_default().lifetime_years,
+        "volume": or volume = OperatingPoint::paper_default().volume,
+    }
+    CfpBreakdown {
+        "design_kg": req design as Kg,
+        "manufacturing_kg": req manufacturing as Kg,
+        "packaging_kg": req packaging as Kg,
+        "eol_kg": req eol as Kg,
+        "operation_kg": req operation as Kg,
+        "app_dev_kg": req app_dev as Kg,
+        "total_kg" => total as Kg,
+    }
+    PlatformComparison {
+        "domain": req domain,
+        "fpga": req fpga,
+        "asic": req asic,
+        "ratio" => fpga_to_asic_ratio,
+        "winner" => winner,
+    }
+    SweepPoint {
+        "x": req x,
+        "fpga": req fpga,
+        "asic": req asic,
+        "ratio" => ratio,
+    }
+    SweepSeries {
+        "domain": req domain,
+        "axis": req axis,
+        "points": req points,
+        "crossovers" => crossovers,
+    }
+    SensitivityEntry {
+        "knob": req knob,
+        "ratio_at_low": req ratio_at_low,
+        "ratio_at_high": req ratio_at_high,
+        "ratio_at_baseline": req ratio_at_baseline,
+        "swing" => swing,
+        "flips_winner" => flips_winner,
+    }
+    TornadoAnalysis {
+        "domain": req domain,
+        "point": req point,
+        "entries": req entries,
+    }
+    GridSweep check grid_is_rectangular {
+        "domain": req domain,
+        "x_axis": req x_axis,
+        "x_values": req x_values,
+        "y_axis": req y_axis,
+        "y_values": req y_values,
+        "ratios": req ratios,
+        "fpga_winning_fraction" => fpga_winning_fraction,
+    }
+    Verdict {
+        "mean_excess": req mean_excess,
+        "worst_excess": req worst_excess,
+        "loss_fraction": req loss_fraction,
+        "embodied_share": req embodied_share,
+        "score": req score,
+    }
+    ReplayOutcome {
+        "steps": req steps,
+        "fpga_operational_kg": req fpga_operational as Kg,
+        "asic_operational_kg": req asic_operational as Kg,
+        "fpga_total_kg": req fpga_total as Kg,
+        "asic_total_kg": req asic_total as Kg,
+        "mean_ratio": req mean_ratio,
+        "worst_ratio": req worst_ratio,
+        "final_ratio": req final_ratio,
+        "fpga_win_fraction": req fpga_win_fraction,
+        "verdict": req verdict,
+    }
+    SearchKnob {
+        "axis": req axis,
+        "min": req min,
+        "max": req max,
+        "integer": omit integer = false,
+    }
+    CertificateProbe {
+        "axis": req axis,
+        "at": req at,
+        "objective": req objective,
+        "delta": req delta,
     }
 }
 
-impl FromJson for SweepAxis {
-    fn from_json(value: &Value) -> Result<SweepAxis, JsonError> {
-        let id = value
-            .as_str()
-            .ok_or_else(|| JsonError::schema("axis", "expected an axis string"))?;
-        match id.to_ascii_lowercase().as_str() {
-            "apps" | "applications" => Ok(SweepAxis::Applications),
-            "lifetime" => Ok(SweepAxis::LifetimeYears),
-            "volume" => Ok(SweepAxis::VolumeUnits),
-            other => Err(JsonError::schema("axis", format!("unknown axis '{other}'"))),
+fn point_is_object(_: &OperatingPoint, value: &Value) -> Result<(), JsonError> {
+    require_object(value, "point", "expected an operating-point object")
+}
+
+fn grid_is_rectangular(grid: &GridSweep, _: &Value) -> Result<(), JsonError> {
+    if grid.ratios.len() != grid.y_values.len()
+        || grid
+            .ratios
+            .iter()
+            .any(|row| row.len() != grid.x_values.len())
+    {
+        return Err(JsonError::schema(
+            "ratios",
+            "expected one row per y value and one column per x value",
+        ));
+    }
+    Ok(())
+}
+
+/// The opening fragment of a streamed [`GridSweep`] body: every member up
+/// to and including `"ratios":[`. It is followed by
+/// [`grid_stream_rows`] for each block and then [`grid_stream_tail`]; the
+/// fragments concatenate to exactly the buffered body.
+///
+/// # Errors
+///
+/// Returns [`JsonError::NonFinite`] for a non-finite coordinate.
+pub fn grid_stream_head(stream: &GridStream) -> Result<String, JsonError> {
+    let head = GridSweep {
+        domain: stream.domain(),
+        x_axis: stream.x_axis(),
+        x_values: stream.x_values().to_vec(),
+        y_axis: stream.y_axis(),
+        y_values: stream.y_values().to_vec(),
+        ratios: Vec::new(),
+    };
+    let Value::Object(mut members) = head.to_json() else {
+        unreachable!("records encode to objects");
+    };
+    let ratios = members
+        .iter()
+        .position(|(key, _)| key == "ratios")
+        .expect("a grid has ratios");
+    members.truncate(ratios);
+    let mut text = Value::Object(members).to_json_string()?;
+    text.pop(); // the closing '}': the object stays open for the rows
+    text.push_str(",\"ratios\":[");
+    Ok(text)
+}
+
+/// One block's rows of a streamed [`GridSweep`] body, comma-separated,
+/// with a leading comma after the grid's first row.
+///
+/// # Errors
+///
+/// Returns [`JsonError::NonFinite`] for a non-finite ratio.
+pub fn grid_stream_rows(block: &GridBlock<'_>) -> Result<String, JsonError> {
+    let mut text = String::new();
+    for row in 0..block.rows() {
+        if block.start_row() + row > 0 {
+            text.push(',');
         }
+        text.push_str(&Value::Array(block.row(row).map(Value::Number).collect()).to_json_string()?);
     }
+    Ok(text)
 }
 
-impl ToJson for PlatformKind {
-    fn to_json(&self) -> Value {
-        Value::String(self.to_string())
-    }
+/// The closing fragment of a streamed [`GridSweep`] body, once every block
+/// was delivered: `],"fpga_winning_fraction":<fraction>}`.
+///
+/// # Errors
+///
+/// Returns [`JsonError::NonFinite`] for a non-finite fraction.
+pub fn grid_stream_tail(stream: &GridStream) -> Result<String, JsonError> {
+    let fraction = Value::Number(stream.fpga_winning_fraction()).to_json_string()?;
+    Ok(format!("],\"fpga_winning_fraction\":{fraction}}}"))
 }
 
-impl FromJson for PlatformKind {
-    fn from_json(value: &Value) -> Result<PlatformKind, JsonError> {
-        match value.as_str() {
-            Some("FPGA") => Ok(PlatformKind::Fpga),
-            Some("ASIC") => Ok(PlatformKind::Asic),
-            _ => Err(JsonError::schema("winner", "expected \"FPGA\" or \"ASIC\"")),
-        }
-    }
-}
-
-impl ToJson for CrossoverDirection {
-    fn to_json(&self) -> Value {
-        Value::String(self.to_string())
-    }
-}
-
-impl FromJson for CrossoverDirection {
-    fn from_json(value: &Value) -> Result<CrossoverDirection, JsonError> {
-        match value.as_str() {
-            Some("A2F") => Ok(CrossoverDirection::AsicToFpga),
-            Some("F2A") => Ok(CrossoverDirection::FpgaToAsic),
-            _ => Err(JsonError::schema(
-                "direction",
-                "expected \"A2F\" or \"F2A\"",
-            )),
-        }
-    }
-}
-
-impl ToJson for Crossover {
-    fn to_json(&self) -> Value {
-        object([
-            ("at", Value::Number(self.at)),
-            ("direction", self.direction.to_json()),
-        ])
-    }
-}
-
-impl FromJson for Crossover {
-    fn from_json(value: &Value) -> Result<Crossover, JsonError> {
-        Ok(Crossover {
-            at: decode(value, "at")?,
-            direction: decode(value, "direction")?,
-        })
-    }
-}
-
-impl ToJson for OperatingPoint {
-    fn to_json(&self) -> Value {
-        object([
-            ("applications", Value::Number(self.applications as f64)),
-            ("lifetime_years", Value::Number(self.lifetime_years)),
-            ("volume", Value::Number(self.volume as f64)),
-        ])
-    }
-}
-
-impl FromJson for OperatingPoint {
-    fn from_json(value: &Value) -> Result<OperatingPoint, JsonError> {
-        if value.as_object().is_none() {
-            return Err(JsonError::schema(
-                "point",
-                "expected an operating-point object",
-            ));
-        }
-        let fallback = OperatingPoint::paper_default();
-        Ok(OperatingPoint {
-            applications: decode_or(value, "applications", fallback.applications)?,
-            lifetime_years: decode_or(value, "lifetime_years", fallback.lifetime_years)?,
-            volume: decode_or(value, "volume", fallback.volume)?,
-        })
-    }
-}
-
-impl ToJson for CfpBreakdown {
-    fn to_json(&self) -> Value {
-        object([
-            ("design_kg", self.design.as_kg()),
-            ("manufacturing_kg", self.manufacturing.as_kg()),
-            ("packaging_kg", self.packaging.as_kg()),
-            ("eol_kg", self.eol.as_kg()),
-            ("operation_kg", self.operation.as_kg()),
-            ("app_dev_kg", self.app_dev.as_kg()),
-            ("total_kg", self.total().as_kg()),
-        ])
-    }
-}
-
-impl FromJson for CfpBreakdown {
-    fn from_json(value: &Value) -> Result<CfpBreakdown, JsonError> {
-        Ok(CfpBreakdown {
-            design: Carbon::from_kg(decode(value, "design_kg")?),
-            manufacturing: Carbon::from_kg(decode(value, "manufacturing_kg")?),
-            packaging: Carbon::from_kg(decode(value, "packaging_kg")?),
-            eol: Carbon::from_kg(decode(value, "eol_kg")?),
-            operation: Carbon::from_kg(decode(value, "operation_kg")?),
-            app_dev: Carbon::from_kg(decode(value, "app_dev_kg")?),
-        })
-    }
-}
-
-impl ToJson for PlatformComparison {
-    fn to_json(&self) -> Value {
-        object([
-            ("domain", self.domain.to_json()),
-            ("fpga", self.fpga.to_json()),
-            ("asic", self.asic.to_json()),
-            ("ratio", Value::Number(self.fpga_to_asic_ratio())),
-            ("winner", self.winner().to_json()),
-        ])
-    }
-}
-
-impl FromJson for PlatformComparison {
-    fn from_json(value: &Value) -> Result<PlatformComparison, JsonError> {
-        Ok(PlatformComparison::new(
-            decode(value, "domain")?,
-            decode(value, "fpga")?,
-            decode(value, "asic")?,
-        ))
-    }
-}
-
-impl ToJson for SweepPoint {
-    fn to_json(&self) -> Value {
-        object([
-            ("x", Value::Number(self.x)),
-            ("fpga", self.fpga.to_json()),
-            ("asic", self.asic.to_json()),
-            ("ratio", Value::Number(self.ratio())),
-        ])
-    }
-}
-
-impl ToJson for SweepSeries {
-    fn to_json(&self) -> Value {
-        object([
-            ("domain", self.domain.to_json()),
-            ("axis", self.axis.to_json()),
-            (
-                "points",
-                Value::Array(self.points.iter().map(ToJson::to_json).collect()),
-            ),
-            (
-                "crossovers",
-                Value::Array(self.crossovers().iter().map(ToJson::to_json).collect()),
-            ),
-        ])
-    }
-}
-
-impl ToJson for SensitivityEntry {
-    fn to_json(&self) -> Value {
-        object([
-            ("knob", Value::String(self.knob.id().to_string())),
-            ("ratio_at_low", Value::Number(self.ratio_at_low)),
-            ("ratio_at_high", Value::Number(self.ratio_at_high)),
-            ("ratio_at_baseline", Value::Number(self.ratio_at_baseline)),
-            ("swing", Value::Number(self.swing())),
-            ("flips_winner", Value::Bool(self.flips_winner())),
-        ])
-    }
-}
-
-impl ToJson for TornadoAnalysis {
-    fn to_json(&self) -> Value {
-        object([
-            ("domain", self.domain.to_json()),
-            ("point", self.point.to_json()),
-            (
-                "entries",
-                Value::Array(self.entries.iter().map(ToJson::to_json).collect()),
-            ),
-        ])
-    }
-}
-
-impl ToJson for UncertaintyReport {
-    fn to_json(&self) -> Value {
-        object([
-            ("domain", self.domain.to_json()),
-            ("point", self.point.to_json()),
-            ("samples", Value::Number(self.ratios.len() as f64)),
-            ("ratio_p5", Value::Number(self.quantile(0.05))),
-            ("ratio_median", Value::Number(self.median())),
-            ("ratio_p95", Value::Number(self.quantile(0.95))),
-            ("ratio_mean", Value::Number(self.mean())),
-            (
-                "fpga_win_probability",
-                Value::Number(self.fpga_win_probability()),
-            ),
-            ("majority_winner", self.majority_winner().to_json()),
-        ])
-    }
-}
-
-impl ToJson for FrontierResult {
-    fn to_json(&self) -> Value {
-        let winners = Value::Array(
-            self.winner_mask()
-                .into_iter()
-                .map(|row| Value::Array(row.into_iter().map(Value::Bool).collect()))
-                .collect(),
-        );
-        object([
-            ("domain", self.domain.to_json()),
-            ("x_axis", self.x_axis.to_json()),
-            (
-                "x_values",
-                Value::Array(self.x_values.iter().map(|&x| Value::Number(x)).collect()),
-            ),
-            ("y_axis", self.y_axis.to_json()),
-            (
-                "y_values",
-                Value::Array(self.y_values.iter().map(|&y| Value::Number(y)).collect()),
-            ),
-            ("fpga_wins", winners),
-            (
-                "fpga_winning_fraction",
-                Value::Number(self.fpga_winning_fraction()),
-            ),
-            ("evaluations", Value::Number(self.evaluations() as f64)),
-            (
-                "evaluated_fraction",
-                Value::Number(self.evaluated_fraction()),
-            ),
-        ])
-    }
-}
+// ---------------------------------------------------------------------------
+// Scenarios, replay and optimization
+// ---------------------------------------------------------------------------
 
 /// A scenario addressed by a request: a domain template plus Table 1 knob
 /// overrides. Two requests with the same spec compile to the same
@@ -392,21 +684,10 @@ impl ScenarioSpec {
     }
 }
 
-impl ToJson for ScenarioSpec {
-    fn to_json(&self) -> Value {
-        object([
-            ("domain", self.domain.to_json()),
-            ("knobs", encode_knob_overrides(&self.knobs)),
-        ])
-    }
-}
-
-impl FromJson for ScenarioSpec {
-    fn from_json(value: &Value) -> Result<ScenarioSpec, JsonError> {
-        Ok(ScenarioSpec {
-            domain: decode(value, "domain")?,
-            knobs: decode_knob_overrides(value)?,
-        })
+wire_record! {
+    ScenarioSpec {
+        "domain": req domain,
+        "knobs": or knobs as KnobMap = Vec::new(),
     }
 }
 
@@ -453,7 +734,7 @@ impl ToJson for ScenarioRef {
             ScenarioRef::Inline(spec) => spec.to_json(),
             ScenarioRef::Catalog { id, knobs } => object([
                 ("id", Value::String(id.clone())),
-                ("knobs", encode_knob_overrides(knobs)),
+                ("knobs", KnobMap::encode(knobs)),
             ]),
         }
     }
@@ -463,41 +744,15 @@ impl FromJson for ScenarioRef {
     fn from_json(value: &Value) -> Result<ScenarioRef, JsonError> {
         match value.get("id") {
             None | Some(Value::Null) => Ok(ScenarioRef::Inline(ScenarioSpec::from_json(value)?)),
-            Some(member) => {
-                let id = member
+            Some(member) => Ok(ScenarioRef::Catalog {
+                id: member
                     .as_str()
-                    .ok_or_else(|| JsonError::schema("id", "expected a catalog id string"))?;
-                Ok(ScenarioRef::Catalog {
-                    id: id.to_string(),
-                    knobs: decode_knob_overrides(value)?,
-                })
-            }
+                    .ok_or_else(|| JsonError::schema("id", "expected a catalog id string"))?
+                    .to_string(),
+                knobs: member_or::<_, KnobMap>(value, "knobs", Vec::new())?,
+            }),
         }
     }
-}
-
-/// Decodes an optional `"point"` member (`None` when absent or null, so
-/// catalog entries can supply their own default point).
-fn decode_point_opt(value: &Value) -> Result<Option<OperatingPoint>, JsonError> {
-    match value.get("point") {
-        None | Some(Value::Null) => Ok(None),
-        Some(member) => Ok(Some(
-            OperatingPoint::from_json(member).map_err(|e| prefix_schema("point", e))?,
-        )),
-    }
-}
-
-/// Splices request-specific members after a scenario reference's members,
-/// mirroring [`merge_scenario`] for [`ScenarioRef`].
-fn merge_scenario_ref(scenario: &ScenarioRef, members: Vec<(&'static str, Value)>) -> Value {
-    let mut all = match scenario.to_json() {
-        Value::Object(members) => members,
-        _ => unreachable!("scenario references serialize to objects"),
-    };
-    for (key, value) in members {
-        all.push((key.to_string(), value));
-    }
-    Value::Object(all)
 }
 
 /// `POST /v1/scenario`: one catalog or inline scenario, evaluated and
@@ -510,25 +765,6 @@ pub struct ScenarioRunRequest {
     /// entry's point (or [`OperatingPoint::paper_default`] for inline
     /// specs).
     pub point: Option<OperatingPoint>,
-}
-
-impl ToJson for ScenarioRunRequest {
-    fn to_json(&self) -> Value {
-        let mut members = Vec::new();
-        if let Some(point) = self.point {
-            members.push(("point", point.to_json()));
-        }
-        merge_scenario_ref(&self.scenario, members)
-    }
-}
-
-impl FromJson for ScenarioRunRequest {
-    fn from_json(value: &Value) -> Result<ScenarioRunRequest, JsonError> {
-        Ok(ScenarioRunRequest {
-            scenario: ScenarioRef::from_json(value)?,
-            point: decode_point_opt(value)?,
-        })
-    }
 }
 
 /// `POST /v1/scenario` response: the comparison plus its scored verdict.
@@ -544,64 +780,15 @@ pub struct ScenarioRunResponse {
     pub verdict: Verdict,
 }
 
-impl ToJson for ScenarioRunResponse {
-    fn to_json(&self) -> Value {
-        object([
-            (
-                "id",
-                match &self.id {
-                    Some(id) => Value::String(id.clone()),
-                    None => Value::Null,
-                },
-            ),
-            ("point", self.point.to_json()),
-            ("comparison", self.comparison.to_json()),
-            ("verdict", self.verdict.to_json()),
-        ])
+wire_record! {
+    ScenarioRunRequest(..scenario) {
+        "point": omit point = None,
     }
-}
-
-impl FromJson for ScenarioRunResponse {
-    fn from_json(value: &Value) -> Result<ScenarioRunResponse, JsonError> {
-        let id = match value.get("id") {
-            None | Some(Value::Null) => None,
-            Some(member) => Some(
-                member
-                    .as_str()
-                    .ok_or_else(|| JsonError::schema("id", "expected a catalog id string"))?
-                    .to_string(),
-            ),
-        };
-        Ok(ScenarioRunResponse {
-            id,
-            point: decode(value, "point")?,
-            comparison: decode(value, "comparison")?,
-            verdict: decode(value, "verdict")?,
-        })
-    }
-}
-
-impl ToJson for Verdict {
-    fn to_json(&self) -> Value {
-        object([
-            ("mean_excess", Value::Number(self.mean_excess)),
-            ("worst_excess", Value::Number(self.worst_excess)),
-            ("loss_fraction", Value::Number(self.loss_fraction)),
-            ("embodied_share", Value::Number(self.embodied_share)),
-            ("score", Value::Number(self.score)),
-        ])
-    }
-}
-
-impl FromJson for Verdict {
-    fn from_json(value: &Value) -> Result<Verdict, JsonError> {
-        Ok(Verdict {
-            mean_excess: decode(value, "mean_excess")?,
-            worst_excess: decode(value, "worst_excess")?,
-            loss_fraction: decode(value, "loss_fraction")?,
-            embodied_share: decode(value, "embodied_share")?,
-            score: decode(value, "score")?,
-        })
+    ScenarioRunResponse {
+        "id": req id,
+        "point": req point,
+        "comparison": req comparison,
+        "verdict": req verdict,
     }
 }
 
@@ -622,7 +809,7 @@ impl ToJson for SeriesRef {
             SeriesRef::Inline(series) => object([
                 (
                     "points",
-                    Value::Array(series.points().iter().map(|&v| Value::Number(v)).collect()),
+                    Value::Array(series.points().iter().copied().map(Value::Number).collect()),
                 ),
                 ("step_hours", Value::Number(series.step_hours())),
             ]),
@@ -635,8 +822,8 @@ impl FromJson for SeriesRef {
         match value {
             Value::String(name) => Ok(SeriesRef::Region(name.clone())),
             Value::Object(_) => {
-                let points: Vec<f64> = decode(value, "points")?;
-                let step_hours = decode_or(value, "step_hours", 1.0)?;
+                let points: Vec<f64> = value.member("points")?;
+                let step_hours = value.member::<Option<f64>>("step_hours")?.unwrap_or(1.0);
                 let series = CarbonIntensitySeries::new(points, step_hours)
                     .map_err(|e| JsonError::schema("series", e.to_string()))?;
                 Ok(SeriesRef::Inline(series))
@@ -674,79 +861,6 @@ impl ReplayRequest {
     pub const DEFAULT_REGION: &'static str = "global_flat";
 }
 
-impl ToJson for ReplayRequest {
-    fn to_json(&self) -> Value {
-        let mut members = Vec::new();
-        if let Some(point) = self.point {
-            members.push(("point", point.to_json()));
-        }
-        members.push(("series", self.series.to_json()));
-        members.push(("interpolate", Value::Bool(self.interpolate)));
-        if self.years != 1 {
-            members.push(("years", Value::Number(self.years as f64)));
-        }
-        merge_scenario_ref(&self.scenario, members)
-    }
-}
-
-impl FromJson for ReplayRequest {
-    fn from_json(value: &Value) -> Result<ReplayRequest, JsonError> {
-        let series = match value.get("series") {
-            None | Some(Value::Null) => {
-                SeriesRef::Region(ReplayRequest::DEFAULT_REGION.to_string())
-            }
-            Some(member) => SeriesRef::from_json(member).map_err(|e| prefix_schema("series", e))?,
-        };
-        Ok(ReplayRequest {
-            scenario: ScenarioRef::from_json(value)?,
-            point: decode_point_opt(value)?,
-            series,
-            interpolate: decode_or(value, "interpolate", false)?,
-            years: decode_or(value, "years", 1u64)?,
-        })
-    }
-}
-
-impl ToJson for ReplayOutcome {
-    fn to_json(&self) -> Value {
-        object([
-            ("steps", Value::Number(self.steps as f64)),
-            (
-                "fpga_operational_kg",
-                Value::Number(self.fpga_operational.as_kg()),
-            ),
-            (
-                "asic_operational_kg",
-                Value::Number(self.asic_operational.as_kg()),
-            ),
-            ("fpga_total_kg", Value::Number(self.fpga_total.as_kg())),
-            ("asic_total_kg", Value::Number(self.asic_total.as_kg())),
-            ("mean_ratio", Value::Number(self.mean_ratio)),
-            ("worst_ratio", Value::Number(self.worst_ratio)),
-            ("final_ratio", Value::Number(self.final_ratio)),
-            ("fpga_win_fraction", Value::Number(self.fpga_win_fraction)),
-            ("verdict", self.verdict.to_json()),
-        ])
-    }
-}
-
-impl FromJson for ReplayOutcome {
-    fn from_json(value: &Value) -> Result<ReplayOutcome, JsonError> {
-        Ok(ReplayOutcome {
-            steps: decode(value, "steps")?,
-            fpga_operational: Carbon::from_kg(decode(value, "fpga_operational_kg")?),
-            asic_operational: Carbon::from_kg(decode(value, "asic_operational_kg")?),
-            fpga_total: Carbon::from_kg(decode(value, "fpga_total_kg")?),
-            asic_total: Carbon::from_kg(decode(value, "asic_total_kg")?),
-            mean_ratio: decode(value, "mean_ratio")?,
-            worst_ratio: decode(value, "worst_ratio")?,
-            final_ratio: decode(value, "final_ratio")?,
-            fpga_win_fraction: decode(value, "fpga_win_fraction")?,
-            verdict: decode(value, "verdict")?,
-        })
-    }
-}
-
 /// `POST /v1/replay` response: the replay summary and scored verdict.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReplayResponse {
@@ -761,73 +875,18 @@ pub struct ReplayResponse {
     pub replay: ReplayOutcome,
 }
 
-impl ToJson for ReplayResponse {
-    fn to_json(&self) -> Value {
-        object([
-            (
-                "id",
-                match &self.id {
-                    Some(id) => Value::String(id.clone()),
-                    None => Value::Null,
-                },
-            ),
-            ("domain", self.domain.to_json()),
-            ("point", self.point.to_json()),
-            ("replay", self.replay.to_json()),
-        ])
+wire_record! {
+    ReplayRequest(..scenario) {
+        "point": omit point = None,
+        "series": or series = SeriesRef::Region(Self::DEFAULT_REGION.to_string()),
+        "interpolate": or interpolate = false,
+        "years": omit years = 1,
     }
-}
-
-impl FromJson for ReplayResponse {
-    fn from_json(value: &Value) -> Result<ReplayResponse, JsonError> {
-        let id = match value.get("id") {
-            None | Some(Value::Null) => None,
-            Some(member) => Some(
-                member
-                    .as_str()
-                    .ok_or_else(|| JsonError::schema("id", "expected a catalog id string"))?
-                    .to_string(),
-            ),
-        };
-        Ok(ReplayResponse {
-            id,
-            domain: decode(value, "domain")?,
-            point: decode(value, "point")?,
-            replay: decode(value, "replay")?,
-        })
-    }
-}
-
-impl ToJson for OptPlatform {
-    fn to_json(&self) -> Value {
-        Value::String(
-            match self {
-                OptPlatform::Fpga => "fpga",
-                OptPlatform::Asic => "asic",
-            }
-            .to_string(),
-        )
-    }
-}
-
-impl FromJson for OptPlatform {
-    fn from_json(value: &Value) -> Result<OptPlatform, JsonError> {
-        match value.as_str() {
-            Some("fpga") => Ok(OptPlatform::Fpga),
-            Some("asic") => Ok(OptPlatform::Asic),
-            _ => Err(JsonError::schema(
-                "platform",
-                "expected \"fpga\" or \"asic\"",
-            )),
-        }
-    }
-}
-
-/// Decodes an optional `"platform"` member, defaulting to the FPGA.
-fn decode_platform(value: &Value) -> Result<OptPlatform, JsonError> {
-    match value.get("platform") {
-        None | Some(Value::Null) => Ok(OptPlatform::Fpga),
-        Some(member) => OptPlatform::from_json(member).map_err(|e| prefix_schema("platform", e)),
+    ReplayResponse {
+        "id": req id,
+        "domain": req domain,
+        "point": req point,
+        "replay": req replay,
     }
 }
 
@@ -838,34 +897,31 @@ fn push_platform(members: &mut Vec<(&'static str, Value)>, platform: OptPlatform
     }
 }
 
+/// Decodes an optional `"platform"` member, defaulting to the FPGA.
+fn decode_platform(value: &Value) -> Result<OptPlatform, JsonError> {
+    member_or::<_, Plain>(value, "platform", OptPlatform::Fpga)
+}
+
 impl ToJson for Objective {
     fn to_json(&self) -> Value {
-        let mut members: Vec<(&'static str, Value)> = Vec::new();
-        let goal = match *self {
-            Objective::MinTotal(platform) => {
-                push_platform(&mut members, platform);
-                "min_total"
-            }
-            Objective::MinOperational(platform) => {
-                push_platform(&mut members, platform);
-                "min_operational"
-            }
-            Objective::MinEmbodied(platform) => {
-                push_platform(&mut members, platform);
-                "min_embodied"
-            }
-            Objective::MaxFpgaMargin => "max_margin",
-            Objective::MinRatio => "min_ratio",
+        let (goal, platform, budget_kg) = match *self {
+            Objective::MinTotal(platform) => ("min_total", Some(platform), None),
+            Objective::MinOperational(platform) => ("min_operational", Some(platform), None),
+            Objective::MinEmbodied(platform) => ("min_embodied", Some(platform), None),
+            Objective::MaxFpgaMargin => ("max_margin", None, None),
+            Objective::MinRatio => ("min_ratio", None, None),
             Objective::MeetBudget {
                 platform,
                 budget_kg,
-            } => {
-                push_platform(&mut members, platform);
-                members.push(("budget_kg", Value::Number(budget_kg)));
-                "budget"
-            }
+            } => ("budget", Some(platform), Some(budget_kg)),
         };
-        members.insert(0, ("goal", Value::String(goal.to_string())));
+        let mut members = vec![("goal", Value::String(goal.to_string()))];
+        if let Some(platform) = platform {
+            push_platform(&mut members, platform);
+        }
+        if let Some(budget_kg) = budget_kg {
+            members.push(("budget_kg", Value::Number(budget_kg)));
+        }
         object(members)
     }
 }
@@ -883,7 +939,7 @@ impl FromJson for Objective {
             "min_ratio" => Ok(Objective::MinRatio),
             "budget" => Ok(Objective::MeetBudget {
                 platform: decode_platform(value)?,
-                budget_kg: decode(value, "budget_kg")?,
+                budget_kg: value.member("budget_kg")?,
             }),
             other => Err(JsonError::schema(
                 "goal",
@@ -893,31 +949,6 @@ impl FromJson for Objective {
                 ),
             )),
         }
-    }
-}
-
-impl ToJson for SearchKnob {
-    fn to_json(&self) -> Value {
-        let mut members = vec![
-            ("axis", self.axis.to_json()),
-            ("min", Value::Number(self.min)),
-            ("max", Value::Number(self.max)),
-        ];
-        if self.integer {
-            members.push(("integer", Value::Bool(true)));
-        }
-        object(members)
-    }
-}
-
-impl FromJson for SearchKnob {
-    fn from_json(value: &Value) -> Result<SearchKnob, JsonError> {
-        Ok(SearchKnob {
-            axis: decode(value, "axis")?,
-            min: decode(value, "min")?,
-            max: decode(value, "max")?,
-            integer: decode_or(value, "integer", false)?,
-        })
     }
 }
 
@@ -944,54 +975,13 @@ impl FromJson for Constraint {
             "fpga_wins" => Ok(Constraint::FpgaWins),
             "max_total_kg" => Ok(Constraint::MaxTotalKg {
                 platform: decode_platform(value)?,
-                limit_kg: decode(value, "limit_kg")?,
+                limit_kg: value.member("limit_kg")?,
             }),
             other => Err(JsonError::schema(
                 "kind",
                 format!("unknown constraint kind '{other}' (expected fpga_wins or max_total_kg)"),
             )),
         }
-    }
-}
-
-impl ToJson for SolverKind {
-    fn to_json(&self) -> Value {
-        Value::String(self.to_string())
-    }
-}
-
-impl FromJson for SolverKind {
-    fn from_json(value: &Value) -> Result<SolverKind, JsonError> {
-        match value.as_str() {
-            Some("analytic") => Ok(SolverKind::Analytic),
-            Some("search") => Ok(SolverKind::Search),
-            _ => Err(JsonError::schema(
-                "solver",
-                "expected \"analytic\" or \"search\"",
-            )),
-        }
-    }
-}
-
-impl ToJson for CertificateProbe {
-    fn to_json(&self) -> Value {
-        object([
-            ("axis", self.axis.to_json()),
-            ("at", Value::Number(self.at)),
-            ("objective", Value::Number(self.objective)),
-            ("delta", Value::Number(self.delta)),
-        ])
-    }
-}
-
-impl FromJson for CertificateProbe {
-    fn from_json(value: &Value) -> Result<CertificateProbe, JsonError> {
-        Ok(CertificateProbe {
-            axis: decode(value, "axis")?,
-            at: decode(value, "at")?,
-            objective: decode(value, "objective")?,
-            delta: decode(value, "delta")?,
-        })
     }
 }
 
@@ -1025,53 +1015,6 @@ impl OptimizeRequest {
     pub const DEFAULT_MAX_EVALS: u64 = 10_000;
 }
 
-impl ToJson for OptimizeRequest {
-    fn to_json(&self) -> Value {
-        let mut members = Vec::new();
-        if let Some(point) = self.point {
-            members.push(("point", point.to_json()));
-        }
-        members.push(("objective", self.objective.to_json()));
-        members.push((
-            "search",
-            Value::Array(self.search.iter().map(|k| k.to_json()).collect()),
-        ));
-        if !self.constraints.is_empty() {
-            members.push((
-                "constraints",
-                Value::Array(self.constraints.iter().map(|c| c.to_json()).collect()),
-            ));
-        }
-        if self.tolerance != Self::DEFAULT_TOLERANCE {
-            members.push(("tolerance", Value::Number(self.tolerance)));
-        }
-        if self.max_evals != Self::DEFAULT_MAX_EVALS {
-            members.push(("max_evals", Value::Number(self.max_evals as f64)));
-        }
-        merge_scenario_ref(&self.scenario, members)
-    }
-}
-
-impl FromJson for OptimizeRequest {
-    fn from_json(value: &Value) -> Result<OptimizeRequest, JsonError> {
-        let constraints = match value.get("constraints") {
-            None | Some(Value::Null) => Vec::new(),
-            Some(member) => {
-                Vec::<Constraint>::from_json(member).map_err(|e| prefix_schema("constraints", e))?
-            }
-        };
-        Ok(OptimizeRequest {
-            scenario: ScenarioRef::from_json(value)?,
-            point: decode_point_opt(value)?,
-            objective: decode(value, "objective")?,
-            search: decode(value, "search")?,
-            constraints,
-            tolerance: decode_or(value, "tolerance", Self::DEFAULT_TOLERANCE)?,
-            max_evals: decode_or(value, "max_evals", Self::DEFAULT_MAX_EVALS)?,
-        })
-    }
-}
-
 /// `POST /v1/optimize` response: the argmin, its verdict, and the solve's
 /// evidence trail.
 #[derive(Debug, Clone, PartialEq)]
@@ -1096,79 +1039,25 @@ pub struct OptimizeResponse {
     pub certificate: Vec<CertificateProbe>,
 }
 
-impl ToJson for OptimizeResponse {
-    fn to_json(&self) -> Value {
-        let argmin = Value::Object(
-            self.argmin
-                .iter()
-                .map(|(axis, value)| {
-                    let key = match axis {
-                        SweepAxis::Applications => "apps",
-                        SweepAxis::LifetimeYears => "lifetime",
-                        SweepAxis::VolumeUnits => "volume",
-                    };
-                    (key.to_string(), Value::Number(*value))
-                })
-                .collect(),
-        );
-        object([
-            (
-                "id",
-                match &self.id {
-                    Some(id) => Value::String(id.clone()),
-                    None => Value::Null,
-                },
-            ),
-            ("domain", self.domain.to_json()),
-            ("point", self.point.to_json()),
-            ("argmin", argmin),
-            ("objective", Value::Number(self.objective)),
-            ("verdict", self.verdict.to_json()),
-            ("evaluations", Value::Number(self.evaluations as f64)),
-            ("solver", self.solver.to_json()),
-            (
-                "certificate",
-                Value::Array(self.certificate.iter().map(|p| p.to_json()).collect()),
-            ),
-        ])
+wire_record! {
+    OptimizeRequest(..scenario) {
+        "point": omit point = None,
+        "objective": req objective,
+        "search": req search,
+        "constraints": omit constraints = Vec::new(),
+        "tolerance": omit tolerance = Self::DEFAULT_TOLERANCE,
+        "max_evals": omit max_evals = Self::DEFAULT_MAX_EVALS,
     }
-}
-
-impl FromJson for OptimizeResponse {
-    fn from_json(value: &Value) -> Result<OptimizeResponse, JsonError> {
-        let id = match value.get("id") {
-            None | Some(Value::Null) => None,
-            Some(member) => Some(
-                member
-                    .as_str()
-                    .ok_or_else(|| JsonError::schema("id", "expected a catalog id string"))?
-                    .to_string(),
-            ),
-        };
-        let argmin_value = field(value, "argmin")?;
-        let members = argmin_value
-            .as_object()
-            .ok_or_else(|| JsonError::schema("argmin", "expected an object of knob values"))?;
-        let mut argmin = Vec::with_capacity(members.len());
-        for (key, member) in members {
-            let axis = SweepAxis::from_json(&Value::String(key.clone()))
-                .map_err(|e| prefix_schema("argmin", e))?;
-            let knob_value = member
-                .as_f64()
-                .ok_or_else(|| JsonError::schema("argmin", "expected a numeric knob value"))?;
-            argmin.push((axis, knob_value));
-        }
-        Ok(OptimizeResponse {
-            id,
-            domain: decode(value, "domain")?,
-            point: decode(value, "point")?,
-            argmin,
-            objective: decode(value, "objective")?,
-            verdict: decode(value, "verdict")?,
-            evaluations: decode(value, "evaluations")?,
-            solver: decode(value, "solver")?,
-            certificate: decode(value, "certificate")?,
-        })
+    OptimizeResponse {
+        "id": req id,
+        "domain": req domain,
+        "point": req point,
+        "argmin": req argmin as AxisMap,
+        "objective": req objective,
+        "verdict": req verdict,
+        "evaluations": req evaluations,
+        "solver": req solver,
+        "certificate": req certificate,
     }
 }
 
@@ -1177,21 +1066,6 @@ impl FromJson for OptimizeResponse {
 /// [`Query`]/[`Outcome`] envelope as every other kind.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CatalogRequest;
-
-impl ToJson for CatalogRequest {
-    fn to_json(&self) -> Value {
-        Value::Object(Vec::new())
-    }
-}
-
-impl FromJson for CatalogRequest {
-    fn from_json(value: &Value) -> Result<CatalogRequest, JsonError> {
-        if value.as_object().is_none() {
-            return Err(JsonError::schema("catalog", "expected an object"));
-        }
-        Ok(CatalogRequest)
-    }
-}
 
 /// One catalog entry as listed on the wire — [`CatalogEntry`] with owned
 /// strings so responses decode without referencing the process's static
@@ -1222,32 +1096,6 @@ impl From<&CatalogEntry> for CatalogEntryInfo {
     }
 }
 
-impl ToJson for CatalogEntryInfo {
-    fn to_json(&self) -> Value {
-        merge_scenario(
-            &self.scenario,
-            [
-                ("id", Value::String(self.id.clone())),
-                ("title", Value::String(self.title.clone())),
-                ("description", Value::String(self.description.clone())),
-                ("point", self.point.to_json()),
-            ],
-        )
-    }
-}
-
-impl FromJson for CatalogEntryInfo {
-    fn from_json(value: &Value) -> Result<CatalogEntryInfo, JsonError> {
-        Ok(CatalogEntryInfo {
-            id: decode(value, "id")?,
-            title: decode(value, "title")?,
-            description: decode(value, "description")?,
-            scenario: ScenarioSpec::from_json(value)?,
-            point: decode(value, "point")?,
-        })
-    }
-}
-
 /// `GET /v1/catalog` response: every named scenario, in catalog order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CatalogResponse {
@@ -1255,19 +1103,26 @@ pub struct CatalogResponse {
     pub entries: Vec<CatalogEntryInfo>,
 }
 
-impl ToJson for CatalogResponse {
-    fn to_json(&self) -> Value {
-        object([("entries", self.entries.to_json())])
+wire_record! {
+    CatalogRequest check catalog_is_object {}
+    CatalogEntryInfo(..scenario) {
+        "id": req id,
+        "title": req title,
+        "description": req description,
+        "point": req point,
+    }
+    CatalogResponse {
+        "entries": req entries,
     }
 }
 
-impl FromJson for CatalogResponse {
-    fn from_json(value: &Value) -> Result<CatalogResponse, JsonError> {
-        Ok(CatalogResponse {
-            entries: decode(value, "entries")?,
-        })
-    }
+fn catalog_is_object(_: &CatalogRequest, value: &Value) -> Result<(), JsonError> {
+    require_object(value, "catalog", "expected an object")
 }
+
+// ---------------------------------------------------------------------------
+// Evaluation, sweeps and lattices
+// ---------------------------------------------------------------------------
 
 /// `POST /v1/evaluate`: one operating point in one scenario.
 #[derive(Debug, Clone, PartialEq)]
@@ -1278,40 +1133,11 @@ pub struct EvaluateRequest {
     pub point: OperatingPoint,
 }
 
-impl ToJson for EvaluateRequest {
-    fn to_json(&self) -> Value {
-        merge_scenario(&self.scenario, [("point", self.point.to_json())])
-    }
-}
-
-impl FromJson for EvaluateRequest {
-    fn from_json(value: &Value) -> Result<EvaluateRequest, JsonError> {
-        Ok(EvaluateRequest {
-            scenario: ScenarioSpec::from_json(value)?,
-            point: decode_or(value, "point", OperatingPoint::paper_default())?,
-        })
-    }
-}
-
 /// `POST /v1/evaluate` response: the full comparison at the point.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EvaluateResponse {
     /// The comparison the engine produced.
     pub comparison: PlatformComparison,
-}
-
-impl ToJson for EvaluateResponse {
-    fn to_json(&self) -> Value {
-        self.comparison.to_json()
-    }
-}
-
-impl FromJson for EvaluateResponse {
-    fn from_json(value: &Value) -> Result<EvaluateResponse, JsonError> {
-        Ok(EvaluateResponse {
-            comparison: PlatformComparison::from_json(value)?,
-        })
-    }
 }
 
 /// `POST /v1/batch`: many operating points in one scenario, evaluated
@@ -1324,27 +1150,6 @@ pub struct BatchEvalRequest {
     pub points: Vec<OperatingPoint>,
 }
 
-impl ToJson for BatchEvalRequest {
-    fn to_json(&self) -> Value {
-        merge_scenario(
-            &self.scenario,
-            [(
-                "points",
-                Value::Array(self.points.iter().map(ToJson::to_json).collect()),
-            )],
-        )
-    }
-}
-
-impl FromJson for BatchEvalRequest {
-    fn from_json(value: &Value) -> Result<BatchEvalRequest, JsonError> {
-        Ok(BatchEvalRequest {
-            scenario: ScenarioSpec::from_json(value)?,
-            points: decode(value, "points")?,
-        })
-    }
-}
-
 /// `POST /v1/batch` response: one comparison per requested point, in
 /// request order.
 #[derive(Debug, Clone, PartialEq)]
@@ -1353,27 +1158,18 @@ pub struct BatchEvalResponse {
     pub comparisons: Vec<PlatformComparison>,
 }
 
-impl ToJson for BatchEvalResponse {
-    fn to_json(&self) -> Value {
-        object([
-            ("count", Value::Number(self.comparisons.len() as f64)),
-            (
-                "results",
-                Value::Array(self.comparisons.iter().map(ToJson::to_json).collect()),
-            ),
-        ])
+wire_record! {
+    EvaluateRequest(..scenario) {
+        "point": or point = OperatingPoint::paper_default(),
     }
-}
-
-impl FromJson for BatchEvalResponse {
-    fn from_json(value: &Value) -> Result<BatchEvalResponse, JsonError> {
-        let comparisons: Vec<PlatformComparison> = field(value, "results")?
-            .as_array()
-            .ok_or_else(|| JsonError::schema("results", "expected an array"))?
-            .iter()
-            .map(PlatformComparison::from_json)
-            .collect::<Result<_, _>>()?;
-        Ok(BatchEvalResponse { comparisons })
+    EvaluateResponse(..comparison) {
+    }
+    BatchEvalRequest(..scenario) {
+        "points": req points,
+    }
+    BatchEvalResponse {
+        "count" => comparisons.len,
+        "results": req comparisons,
     }
 }
 
@@ -1394,92 +1190,20 @@ pub struct CrossoverRequest {
 }
 
 impl CrossoverRequest {
+    const DEFAULT_MAX_APPLICATIONS: u64 = 20;
+    const DEFAULT_LIFETIME_RANGE: (f64, f64) = (0.05, 5.0);
+    const DEFAULT_VOLUME_RANGE: (u64, u64) = (1_000, 50_000_000);
+
     /// The CLI's default search windows: 20 applications, 0.05–5 years,
     /// 1 K–50 M devices.
     pub fn with_default_ranges(scenario: ScenarioSpec, base: OperatingPoint) -> Self {
         CrossoverRequest {
             scenario,
             base,
-            max_applications: 20,
-            lifetime_range: (0.05, 5.0),
-            volume_range: (1_000, 50_000_000),
+            max_applications: Self::DEFAULT_MAX_APPLICATIONS,
+            lifetime_range: Self::DEFAULT_LIFETIME_RANGE,
+            volume_range: Self::DEFAULT_VOLUME_RANGE,
         }
-    }
-}
-
-impl ToJson for CrossoverRequest {
-    fn to_json(&self) -> Value {
-        merge_scenario(
-            &self.scenario,
-            [
-                ("point", self.base.to_json()),
-                (
-                    "max_applications",
-                    Value::Number(self.max_applications as f64),
-                ),
-                (
-                    "lifetime_range",
-                    Value::Array(vec![
-                        Value::Number(self.lifetime_range.0),
-                        Value::Number(self.lifetime_range.1),
-                    ]),
-                ),
-                (
-                    "volume_range",
-                    Value::Array(vec![
-                        Value::Number(self.volume_range.0 as f64),
-                        Value::Number(self.volume_range.1 as f64),
-                    ]),
-                ),
-            ],
-        )
-    }
-}
-
-impl FromJson for CrossoverRequest {
-    fn from_json(value: &Value) -> Result<CrossoverRequest, JsonError> {
-        let defaults = CrossoverRequest::with_default_ranges(
-            ScenarioSpec::from_json(value)?,
-            decode_or(value, "point", OperatingPoint::paper_default())?,
-        );
-        let pair_f64 = |key: &'static str, fallback: (f64, f64)| match value.get(key) {
-            None | Some(Value::Null) => Ok(fallback),
-            Some(member) => {
-                let items = member
-                    .as_array()
-                    .filter(|items| items.len() == 2)
-                    .ok_or_else(|| JsonError::schema(key, "expected [low, high]"))?;
-                match (items[0].as_f64(), items[1].as_f64()) {
-                    (Some(low), Some(high)) => Ok((low, high)),
-                    _ => Err(JsonError::schema(key, "expected two numbers")),
-                }
-            }
-        };
-        let (lifetime_low, lifetime_high) = pair_f64("lifetime_range", defaults.lifetime_range)?;
-        let volume_range = match value.get("volume_range") {
-            None | Some(Value::Null) => defaults.volume_range,
-            Some(member) => {
-                let items = member
-                    .as_array()
-                    .filter(|items| items.len() == 2)
-                    .ok_or_else(|| JsonError::schema("volume_range", "expected [low, high]"))?;
-                match (items[0].as_u64(), items[1].as_u64()) {
-                    (Some(low), Some(high)) => (low, high),
-                    _ => {
-                        return Err(JsonError::schema(
-                            "volume_range",
-                            "expected two non-negative integers",
-                        ))
-                    }
-                }
-            }
-        };
-        Ok(CrossoverRequest {
-            max_applications: decode_or(value, "max_applications", defaults.max_applications)?,
-            lifetime_range: (lifetime_low, lifetime_high),
-            volume_range,
-            ..defaults
-        })
     }
 }
 
@@ -1499,49 +1223,62 @@ pub struct CrossoverResponse {
     pub volume: Option<Crossover>,
 }
 
-impl ToJson for CrossoverResponse {
-    fn to_json(&self) -> Value {
-        let opt = |crossover: &Option<Crossover>| match crossover {
-            Some(c) => c.to_json(),
-            None => Value::Null,
-        };
-        object([
-            ("domain", self.domain.to_json()),
-            ("point", self.base.to_json()),
-            (
-                "applications",
-                match self.applications {
-                    Some(n) => Value::Number(n as f64),
-                    None => Value::Null,
-                },
-            ),
-            ("lifetime", opt(&self.lifetime)),
-            ("volume", opt(&self.volume)),
-        ])
+wire_record! {
+    CrossoverRequest(..scenario) {
+        "point": or base = OperatingPoint::paper_default(),
+        "max_applications": or max_applications = Self::DEFAULT_MAX_APPLICATIONS,
+        "lifetime_range": or lifetime_range as Range = Self::DEFAULT_LIFETIME_RANGE,
+        "volume_range": or volume_range as Range = Self::DEFAULT_VOLUME_RANGE,
+    }
+    CrossoverResponse {
+        "domain": req domain,
+        "point": req base,
+        "applications": req applications,
+        "lifetime": req lifetime,
+        "volume": req volume,
     }
 }
 
-impl FromJson for CrossoverResponse {
-    fn from_json(value: &Value) -> Result<CrossoverResponse, JsonError> {
-        let opt = |key: &'static str| match value.get(key) {
-            None | Some(Value::Null) => Ok(None),
-            Some(member) => Crossover::from_json(member)
-                .map(Some)
-                .map_err(|e| prefix_schema(key, e)),
-        };
-        Ok(CrossoverResponse {
-            domain: decode(value, "domain")?,
-            base: decode(value, "point")?,
-            applications: match value.get("applications") {
-                None | Some(Value::Null) => None,
-                Some(member) => {
-                    Some(u64::from_json(member).map_err(|e| prefix_schema("applications", e))?)
-                }
-            },
-            lifetime: opt("lifetime")?,
-            volume: opt("volume")?,
-        })
+/// Linearly spaced axis values (endpoints included) — the lattice geometry
+/// shared by [`FrontierRequest`], [`GridRequest`], [`SweepRequest`] and
+/// the CLI.
+fn linear_axis_values((from, to): (f64, f64), steps: usize) -> Vec<f64> {
+    (0..steps)
+        .map(|i| from + (to - from) * i as f64 / (steps as f64 - 1.0))
+        .collect()
+}
+
+// Lattice defaults shared by `FrontierRequest` and `GridRequest`.
+const LATTICE_X_AXIS: SweepAxis = SweepAxis::Applications;
+const LATTICE_X_RANGE: (f64, f64) = (1.0, 12.0);
+const LATTICE_Y_AXIS: SweepAxis = SweepAxis::LifetimeYears;
+const LATTICE_Y_RANGE: (f64, f64) = (0.25, 3.0);
+const LATTICE_STEPS: usize = 24;
+
+/// Validates a decoded 2-D lattice: resolution, distinct axes and finite,
+/// increasing ranges.
+fn check_lattice(
+    x_axis: SweepAxis,
+    x_range: (f64, f64),
+    y_axis: SweepAxis,
+    y_range: (f64, f64),
+    steps: usize,
+) -> Result<(), JsonError> {
+    if !(2..=1024).contains(&steps) {
+        return Err(JsonError::schema("steps", "expected 2 ≤ steps ≤ 1024"));
     }
+    if x_axis == y_axis {
+        return Err(JsonError::schema("y_axis", "x_axis and y_axis must differ"));
+    }
+    let range_invalid =
+        |(from, to): (f64, f64)| !(from.is_finite() && to.is_finite()) || to <= from;
+    if range_invalid(x_range) || range_invalid(y_range) {
+        return Err(JsonError::schema(
+            "x_from",
+            "ranges must be finite with to > from",
+        ));
+    }
+    Ok(())
 }
 
 /// `POST /v1/frontier`: an adaptive winner map over a 2-D lattice.
@@ -1563,80 +1300,6 @@ pub struct FrontierRequest {
     pub steps: usize,
 }
 
-/// Linearly spaced axis values (endpoints included) — the lattice geometry
-/// shared by [`FrontierRequest`], [`GridRequest`] and the CLI.
-fn linear_axis_values((from, to): (f64, f64), steps: usize) -> Vec<f64> {
-    (0..steps)
-        .map(|i| from + (to - from) * i as f64 / (steps as f64 - 1.0))
-        .collect()
-}
-
-/// The 2-D lattice geometry shared by [`FrontierRequest`] and
-/// [`GridRequest`]: axes, ranges and resolution, with their common
-/// defaults, decoding and validation.
-struct LatticeGeometry {
-    x_axis: SweepAxis,
-    x_range: (f64, f64),
-    y_axis: SweepAxis,
-    y_range: (f64, f64),
-    steps: usize,
-}
-
-impl LatticeGeometry {
-    fn decode(value: &Value) -> Result<LatticeGeometry, JsonError> {
-        let steps_u64: u64 = decode_or(value, "steps", 24)?;
-        let geometry = LatticeGeometry {
-            x_axis: decode_or(value, "x_axis", SweepAxis::Applications)?,
-            x_range: (
-                decode_or(value, "x_from", 1.0)?,
-                decode_or(value, "x_to", 12.0)?,
-            ),
-            y_axis: decode_or(value, "y_axis", SweepAxis::LifetimeYears)?,
-            y_range: (
-                decode_or(value, "y_from", 0.25)?,
-                decode_or(value, "y_to", 3.0)?,
-            ),
-            steps: steps_u64 as usize,
-        };
-        if geometry.steps < 2 || geometry.steps > 1024 {
-            return Err(JsonError::schema("steps", "expected 2 ≤ steps ≤ 1024"));
-        }
-        if geometry.x_axis == geometry.y_axis {
-            return Err(JsonError::schema("y_axis", "x_axis and y_axis must differ"));
-        }
-        let range_invalid =
-            |(from, to): (f64, f64)| !(from.is_finite() && to.is_finite()) || to <= from;
-        if range_invalid(geometry.x_range) || range_invalid(geometry.y_range) {
-            return Err(JsonError::schema(
-                "x_from",
-                "ranges must be finite with to > from",
-            ));
-        }
-        Ok(geometry)
-    }
-
-    fn encode_members(&self) -> [(&'static str, Value); 7] {
-        [
-            ("x_axis", self.x_axis.to_json()),
-            ("x_from", Value::Number(self.x_range.0)),
-            ("x_to", Value::Number(self.x_range.1)),
-            ("y_axis", self.y_axis.to_json()),
-            ("y_from", Value::Number(self.y_range.0)),
-            ("y_to", Value::Number(self.y_range.1)),
-            ("steps", Value::Number(self.steps as f64)),
-        ]
-    }
-
-    /// The full lattice-request JSON shared by [`FrontierRequest`] and
-    /// [`GridRequest`]: flat scenario members, the base point, then the
-    /// geometry.
-    fn encode_request(&self, scenario: &ScenarioSpec, base: OperatingPoint) -> Value {
-        let mut members = vec![("point", base.to_json())];
-        members.extend(self.encode_members());
-        merge_scenario_vec(scenario, members)
-    }
-}
-
 impl FrontierRequest {
     /// The lattice coordinates this request describes (linear spacing,
     /// endpoints included) — shared by the server handler and clients that
@@ -1646,34 +1309,6 @@ impl FrontierRequest {
             linear_axis_values(self.x_range, self.steps),
             linear_axis_values(self.y_range, self.steps),
         )
-    }
-}
-
-impl ToJson for FrontierRequest {
-    fn to_json(&self) -> Value {
-        LatticeGeometry {
-            x_axis: self.x_axis,
-            x_range: self.x_range,
-            y_axis: self.y_axis,
-            y_range: self.y_range,
-            steps: self.steps,
-        }
-        .encode_request(&self.scenario, self.base)
-    }
-}
-
-impl FromJson for FrontierRequest {
-    fn from_json(value: &Value) -> Result<FrontierRequest, JsonError> {
-        let geometry = LatticeGeometry::decode(value)?;
-        Ok(FrontierRequest {
-            scenario: ScenarioSpec::from_json(value)?,
-            base: decode_or(value, "point", OperatingPoint::paper_default())?,
-            x_axis: geometry.x_axis,
-            x_range: geometry.x_range,
-            y_axis: geometry.y_axis,
-            y_range: geometry.y_range,
-            steps: geometry.steps,
-        })
     }
 }
 
@@ -1717,510 +1352,12 @@ impl GridRequest {
     }
 }
 
-impl ToJson for GridRequest {
-    fn to_json(&self) -> Value {
-        let geometry = LatticeGeometry {
-            x_axis: self.x_axis,
-            x_range: self.x_range,
-            y_axis: self.y_axis,
-            y_range: self.y_range,
-            steps: self.steps,
-        };
-        let mut members = vec![("point", self.base.to_json())];
-        members.extend(geometry.encode_members());
-        if self.stream {
-            members.push(("stream", Value::Bool(true)));
-        }
-        merge_scenario_vec(&self.scenario, members)
-    }
+fn frontier_lattice(r: &FrontierRequest, _: &Value) -> Result<(), JsonError> {
+    check_lattice(r.x_axis, r.x_range, r.y_axis, r.y_range, r.steps)
 }
 
-impl FromJson for GridRequest {
-    fn from_json(value: &Value) -> Result<GridRequest, JsonError> {
-        let geometry = LatticeGeometry::decode(value)?;
-        Ok(GridRequest {
-            scenario: ScenarioSpec::from_json(value)?,
-            base: decode_or(value, "point", OperatingPoint::paper_default())?,
-            x_axis: geometry.x_axis,
-            x_range: geometry.x_range,
-            y_axis: geometry.y_axis,
-            y_range: geometry.y_range,
-            steps: geometry.steps,
-            stream: decode_or(value, "stream", false)?,
-        })
-    }
-}
-
-/// One latency histogram of `GET /v1/metrics`: `bounds_us[i]` is the
-/// inclusive upper bound (microseconds) of bucket `i`, and `counts` has one
-/// extra trailing bucket for everything above the last bound (JSON has no
-/// lexeme for infinity, so the overflow bound is implicit).
-#[derive(Debug, Clone, PartialEq)]
-pub struct LatencyHistogram {
-    /// Inclusive bucket upper bounds in microseconds, ascending.
-    pub bounds_us: Vec<f64>,
-    /// Observation counts; `counts.len() == bounds_us.len() + 1` (the last
-    /// bucket is the overflow bucket).
-    pub counts: Vec<u64>,
-}
-
-impl ToJson for LatencyHistogram {
-    fn to_json(&self) -> Value {
-        object([
-            ("bounds_us", self.bounds_us.to_json()),
-            ("counts", self.counts.to_json()),
-        ])
-    }
-}
-
-impl FromJson for LatencyHistogram {
-    fn from_json(value: &Value) -> Result<LatencyHistogram, JsonError> {
-        let histogram = LatencyHistogram {
-            bounds_us: decode(value, "bounds_us")?,
-            counts: decode(value, "counts")?,
-        };
-        if histogram.counts.len() != histogram.bounds_us.len() + 1 {
-            return Err(JsonError::schema(
-                "counts",
-                "expected one count per bound plus the overflow bucket",
-            ));
-        }
-        Ok(histogram)
-    }
-}
-
-/// One route's counters in `GET /v1/metrics`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RouteMetrics {
-    /// Stable route label, e.g. `"POST /v1/evaluate"`.
-    pub route: String,
-    /// Requests answered on this route (any status).
-    pub requests: u64,
-    /// Requests answered with a non-2xx status. Kept as the sum of
-    /// `errors_4xx + errors_5xx` for consumers that predate the split.
-    pub errors: u64,
-    /// Requests answered with a 4xx status (client faults).
-    pub errors_4xx: u64,
-    /// Requests answered with a 5xx (or other non-2xx, non-4xx) status —
-    /// server faults.
-    pub errors_5xx: u64,
-    /// Request-body bytes received on this route.
-    pub bytes_in: u64,
-    /// Response-body bytes sent on this route.
-    pub bytes_out: u64,
-    /// Handler latency distribution.
-    pub latency: LatencyHistogram,
-}
-
-impl ToJson for RouteMetrics {
-    fn to_json(&self) -> Value {
-        object([
-            ("route", Value::String(self.route.clone())),
-            ("requests", self.requests.to_json()),
-            ("errors", self.errors.to_json()),
-            ("errors_4xx", self.errors_4xx.to_json()),
-            ("errors_5xx", self.errors_5xx.to_json()),
-            ("bytes_in", self.bytes_in.to_json()),
-            ("bytes_out", self.bytes_out.to_json()),
-            ("latency", self.latency.to_json()),
-        ])
-    }
-}
-
-impl FromJson for RouteMetrics {
-    fn from_json(value: &Value) -> Result<RouteMetrics, JsonError> {
-        Ok(RouteMetrics {
-            route: decode(value, "route")?,
-            requests: decode(value, "requests")?,
-            errors: decode(value, "errors")?,
-            errors_4xx: decode_or(value, "errors_4xx", 0)?,
-            errors_5xx: decode_or(value, "errors_5xx", 0)?,
-            bytes_in: decode_or(value, "bytes_in", 0)?,
-            bytes_out: decode_or(value, "bytes_out", 0)?,
-            latency: decode(value, "latency")?,
-        })
-    }
-}
-
-/// One scenario-cache shard's counters in `GET /v1/metrics`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CacheShardMetrics {
-    /// Compiled scenarios currently cached in the shard.
-    pub entries: u64,
-    /// Lifetime lookup hits.
-    pub hits: u64,
-    /// Lifetime lookup misses (compilations).
-    pub misses: u64,
-}
-
-impl ToJson for CacheShardMetrics {
-    fn to_json(&self) -> Value {
-        object([
-            ("entries", self.entries.to_json()),
-            ("hits", self.hits.to_json()),
-            ("misses", self.misses.to_json()),
-        ])
-    }
-}
-
-impl FromJson for CacheShardMetrics {
-    fn from_json(value: &Value) -> Result<CacheShardMetrics, JsonError> {
-        Ok(CacheShardMetrics {
-            entries: decode(value, "entries")?,
-            hits: decode(value, "hits")?,
-            misses: decode(value, "misses")?,
-        })
-    }
-}
-
-/// `GET /v1/metrics` response: the serving core's observability snapshot —
-/// per-route request/error counters and latency histograms, per-shard
-/// scenario-cache statistics, and the connection governor's gauges.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MetricsResponse {
-    /// Requests answered over the server's lifetime (any route, any status).
-    pub requests_served: u64,
-    /// Connections currently accepted and not yet finished.
-    pub connections_live: u64,
-    /// The governor's hard cap on live connections.
-    pub connections_max: u64,
-    /// Connections rejected with `503` by admission control.
-    pub connections_rejected: u64,
-    /// Per-route counters, in stable route order.
-    pub routes: Vec<RouteMetrics>,
-    /// Per-shard scenario-cache statistics, in shard order.
-    pub cache_shards: Vec<CacheShardMetrics>,
-}
-
-impl ToJson for MetricsResponse {
-    fn to_json(&self) -> Value {
-        object([
-            ("requests_served", self.requests_served.to_json()),
-            ("connections_live", self.connections_live.to_json()),
-            ("connections_max", self.connections_max.to_json()),
-            ("connections_rejected", self.connections_rejected.to_json()),
-            ("routes", self.routes.to_json()),
-            ("cache_shards", self.cache_shards.to_json()),
-        ])
-    }
-}
-
-impl FromJson for MetricsResponse {
-    fn from_json(value: &Value) -> Result<MetricsResponse, JsonError> {
-        Ok(MetricsResponse {
-            requests_served: decode(value, "requests_served")?,
-            connections_live: decode(value, "connections_live")?,
-            connections_max: decode(value, "connections_max")?,
-            connections_rejected: decode(value, "connections_rejected")?,
-            routes: decode(value, "routes")?,
-            cache_shards: decode(value, "cache_shards")?,
-        })
-    }
-}
-
-/// One span in `GET /v1/trace`: a named, timed slice of work with the
-/// request id that correlates it to an `x-request-id` response header.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TraceSpan {
-    /// Span class, e.g. `"parse"`, `"execute"`, `"cache_hit"`.
-    pub name: String,
-    /// Unique span id, 16 lowercase hex digits.
-    pub span_id: String,
-    /// Owning request id, 16 lowercase hex digits (all zeros when the
-    /// span is not request-scoped).
-    pub request_id: String,
-    /// Start, in nanoseconds since the process trace epoch.
-    pub start_ns: u64,
-    /// Duration in nanoseconds (`0` for instant events).
-    pub duration_ns: u64,
-    /// Span-class-specific detail (cache shard index, byte count, ...).
-    pub aux: u64,
-    /// Recording thread's trace-ring id.
-    pub thread: u64,
-}
-
-impl ToJson for TraceSpan {
-    fn to_json(&self) -> Value {
-        object([
-            ("name", Value::String(self.name.clone())),
-            ("span_id", Value::String(self.span_id.clone())),
-            ("request_id", Value::String(self.request_id.clone())),
-            ("start_ns", self.start_ns.to_json()),
-            ("duration_ns", self.duration_ns.to_json()),
-            ("aux", self.aux.to_json()),
-            ("thread", self.thread.to_json()),
-        ])
-    }
-}
-
-impl FromJson for TraceSpan {
-    fn from_json(value: &Value) -> Result<TraceSpan, JsonError> {
-        Ok(TraceSpan {
-            name: decode(value, "name")?,
-            span_id: decode(value, "span_id")?,
-            request_id: decode(value, "request_id")?,
-            start_ns: decode(value, "start_ns")?,
-            duration_ns: decode(value, "duration_ns")?,
-            aux: decode_or(value, "aux", 0)?,
-            thread: decode_or(value, "thread", 0)?,
-        })
-    }
-}
-
-/// `GET /v1/trace` response: the most recent spans from every thread's
-/// trace ring, newest first.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TraceResponse {
-    /// Recent spans, newest first.
-    pub spans: Vec<TraceSpan>,
-    /// Whether tracing is currently recording.
-    pub enabled: bool,
-}
-
-impl ToJson for TraceResponse {
-    fn to_json(&self) -> Value {
-        object([
-            ("spans", self.spans.to_json()),
-            ("enabled", Value::Bool(self.enabled)),
-        ])
-    }
-}
-
-impl FromJson for TraceResponse {
-    fn from_json(value: &Value) -> Result<TraceResponse, JsonError> {
-        Ok(TraceResponse {
-            spans: decode(value, "spans")?,
-            enabled: decode_or(value, "enabled", true)?,
-        })
-    }
-}
-
-/// Splices request-specific members after the scenario members, so request
-/// JSON stays flat: `{"domain": ..., "knobs": ..., "point": ...}`.
-fn merge_scenario<const N: usize>(
-    scenario: &ScenarioSpec,
-    members: [(&'static str, Value); N],
-) -> Value {
-    merge_scenario_vec(scenario, members.into_iter().collect())
-}
-
-/// [`merge_scenario`] for a dynamic member list.
-fn merge_scenario_vec(scenario: &ScenarioSpec, members: Vec<(&'static str, Value)>) -> Value {
-    let mut all = match scenario.to_json() {
-        Value::Object(members) => members,
-        _ => unreachable!("scenario serializes to an object"),
-    };
-    for (key, value) in members {
-        all.push((key.to_string(), value));
-    }
-    Value::Object(all)
-}
-
-/// Decodes an optional `"knobs"` object into `(Knob, value)` overrides —
-/// shared by [`ScenarioSpec`] and [`IndustryRequest`].
-fn decode_knob_overrides(value: &Value) -> Result<Vec<(Knob, f64)>, JsonError> {
-    let mut knobs = Vec::new();
-    match value.get("knobs") {
-        None | Some(Value::Null) => {}
-        Some(Value::Object(members)) => {
-            for (id, member) in members {
-                let knob = Knob::parse_id(id)
-                    .ok_or_else(|| JsonError::schema(format!("knobs.{id}"), "unknown knob"))?;
-                if knobs.iter().any(|&(seen, _)| seen == knob) {
-                    return Err(JsonError::schema(
-                        format!("knobs.{id}"),
-                        format!("knob '{id}' overridden more than once"),
-                    ));
-                }
-                let value = member
-                    .as_f64()
-                    .ok_or_else(|| JsonError::schema(format!("knobs.{id}"), "expected a number"))?;
-                knobs.push((knob, value));
-            }
-        }
-        Some(_) => {
-            return Err(JsonError::schema(
-                "knobs",
-                "expected an object of knob values",
-            ));
-        }
-    }
-    Ok(knobs)
-}
-
-/// Encodes knob overrides as the `"knobs"` JSON object.
-fn encode_knob_overrides(knobs: &[(Knob, f64)]) -> Value {
-    Value::Object(
-        knobs
-            .iter()
-            .map(|&(knob, value)| (knob.id().to_string(), Value::Number(value)))
-            .collect(),
-    )
-}
-
-impl FromJson for SweepPoint {
-    /// Decodes one sweep sample; the derived `ratio` member is ignored (it
-    /// is recomputed from the decoded breakdowns).
-    fn from_json(value: &Value) -> Result<SweepPoint, JsonError> {
-        Ok(SweepPoint {
-            x: decode(value, "x")?,
-            fpga: decode(value, "fpga")?,
-            asic: decode(value, "asic")?,
-        })
-    }
-}
-
-impl FromJson for SweepSeries {
-    /// Decodes a series; the derived `crossovers` member is ignored (it is
-    /// recomputed from the decoded points, bit-identically).
-    fn from_json(value: &Value) -> Result<SweepSeries, JsonError> {
-        Ok(SweepSeries {
-            domain: decode(value, "domain")?,
-            axis: decode(value, "axis")?,
-            points: decode(value, "points")?,
-        })
-    }
-}
-
-impl ToJson for GridSweep {
-    fn to_json(&self) -> Value {
-        object([
-            ("domain", self.domain.to_json()),
-            ("x_axis", self.x_axis.to_json()),
-            ("x_values", self.x_values.to_json()),
-            ("y_axis", self.y_axis.to_json()),
-            ("y_values", self.y_values.to_json()),
-            ("ratios", self.ratios.to_json()),
-            (
-                "fpga_winning_fraction",
-                Value::Number(self.fpga_winning_fraction()),
-            ),
-        ])
-    }
-}
-
-impl FromJson for GridSweep {
-    /// Decodes a ratio grid; the derived `fpga_winning_fraction` member is
-    /// ignored. The ratio matrix must match the coordinate lists.
-    fn from_json(value: &Value) -> Result<GridSweep, JsonError> {
-        let grid = GridSweep {
-            domain: decode(value, "domain")?,
-            x_axis: decode(value, "x_axis")?,
-            x_values: decode(value, "x_values")?,
-            y_axis: decode(value, "y_axis")?,
-            y_values: decode(value, "y_values")?,
-            ratios: decode(value, "ratios")?,
-        };
-        if grid.ratios.len() != grid.y_values.len()
-            || grid
-                .ratios
-                .iter()
-                .any(|row| row.len() != grid.x_values.len())
-        {
-            return Err(JsonError::schema(
-                "ratios",
-                "expected one row per y value and one column per x value",
-            ));
-        }
-        Ok(grid)
-    }
-}
-
-impl FromJson for SensitivityEntry {
-    /// Decodes one tornado bar; the derived `swing` and `flips_winner`
-    /// members are ignored.
-    fn from_json(value: &Value) -> Result<SensitivityEntry, JsonError> {
-        let id: String = decode(value, "knob")?;
-        let knob = Knob::parse_id(&id)
-            .ok_or_else(|| JsonError::schema("knob", format!("unknown knob '{id}'")))?;
-        Ok(SensitivityEntry {
-            knob,
-            ratio_at_low: decode(value, "ratio_at_low")?,
-            ratio_at_high: decode(value, "ratio_at_high")?,
-            ratio_at_baseline: decode(value, "ratio_at_baseline")?,
-        })
-    }
-}
-
-impl FromJson for TornadoAnalysis {
-    fn from_json(value: &Value) -> Result<TornadoAnalysis, JsonError> {
-        Ok(TornadoAnalysis {
-            domain: decode(value, "domain")?,
-            point: decode(value, "point")?,
-            entries: decode(value, "entries")?,
-        })
-    }
-}
-
-/// `POST /v1/compare`: one operating point evaluated side by side in
-/// several scenarios (e.g. all three domains at their baselines).
-#[derive(Debug, Clone, PartialEq)]
-pub struct CompareRequest {
-    /// The scenarios to evaluate, in response order (1–16).
-    pub scenarios: Vec<ScenarioSpec>,
-    /// The operating point shared by every scenario.
-    pub point: OperatingPoint,
-}
-
-impl CompareRequest {
-    /// The most scenarios one request may carry.
-    pub const MAX_SCENARIOS: usize = 16;
-}
-
-impl ToJson for CompareRequest {
-    fn to_json(&self) -> Value {
-        object([
-            (
-                "scenarios",
-                Value::Array(self.scenarios.iter().map(ToJson::to_json).collect()),
-            ),
-            ("point", self.point.to_json()),
-        ])
-    }
-}
-
-impl FromJson for CompareRequest {
-    fn from_json(value: &Value) -> Result<CompareRequest, JsonError> {
-        let scenarios: Vec<ScenarioSpec> = decode(value, "scenarios")?;
-        if scenarios.is_empty() || scenarios.len() > CompareRequest::MAX_SCENARIOS {
-            return Err(JsonError::schema(
-                "scenarios",
-                format!("expected 1 to {} scenarios", CompareRequest::MAX_SCENARIOS),
-            ));
-        }
-        Ok(CompareRequest {
-            scenarios,
-            point: decode_or(value, "point", OperatingPoint::paper_default())?,
-        })
-    }
-}
-
-/// `POST /v1/compare` response: one comparison per requested scenario, in
-/// request order.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CompareResponse {
-    /// The comparisons, in request order.
-    pub comparisons: Vec<PlatformComparison>,
-}
-
-impl ToJson for CompareResponse {
-    fn to_json(&self) -> Value {
-        object([
-            ("count", Value::Number(self.comparisons.len() as f64)),
-            (
-                "results",
-                Value::Array(self.comparisons.iter().map(ToJson::to_json).collect()),
-            ),
-        ])
-    }
-}
-
-impl FromJson for CompareResponse {
-    fn from_json(value: &Value) -> Result<CompareResponse, JsonError> {
-        Ok(CompareResponse {
-            comparisons: decode(value, "results")?,
-        })
-    }
+fn grid_lattice(r: &GridRequest, _: &Value) -> Result<(), JsonError> {
+    check_lattice(r.x_axis, r.x_range, r.y_axis, r.y_range, r.steps)
 }
 
 /// `POST /v1/sweep`: one workload axis swept over a linear range, the
@@ -2249,346 +1386,46 @@ impl SweepRequest {
     }
 }
 
-impl ToJson for SweepRequest {
-    fn to_json(&self) -> Value {
-        merge_scenario(
-            &self.scenario,
-            [
-                ("point", self.base.to_json()),
-                ("axis", self.axis.to_json()),
-                ("from", Value::Number(self.range.0)),
-                ("to", Value::Number(self.range.1)),
-                ("steps", Value::Number(self.steps as f64)),
-            ],
-        )
+fn sweep_range(request: &SweepRequest, _: &Value) -> Result<(), JsonError> {
+    if !(2..=SweepRequest::MAX_STEPS).contains(&request.steps) {
+        return Err(JsonError::schema(
+            "steps",
+            format!("expected 2 ≤ steps ≤ {}", SweepRequest::MAX_STEPS),
+        ));
     }
-}
-
-impl FromJson for SweepRequest {
-    fn from_json(value: &Value) -> Result<SweepRequest, JsonError> {
-        let steps_u64: u64 = decode_or(value, "steps", 10)?;
-        let request = SweepRequest {
-            scenario: ScenarioSpec::from_json(value)?,
-            base: decode_or(value, "point", OperatingPoint::paper_default())?,
-            axis: decode(value, "axis")?,
-            range: (decode(value, "from")?, decode(value, "to")?),
-            steps: steps_u64 as usize,
-        };
-        if request.steps < 2 || request.steps > SweepRequest::MAX_STEPS {
-            return Err(JsonError::schema(
-                "steps",
-                format!("expected 2 ≤ steps ≤ {}", SweepRequest::MAX_STEPS),
-            ));
-        }
-        let (from, to) = request.range;
-        if !(from.is_finite() && to.is_finite()) || to <= from {
-            return Err(JsonError::schema(
-                "from",
-                "sweep range must be finite with to > from",
-            ));
-        }
-        Ok(request)
+    let (from, to) = request.range;
+    if !(from.is_finite() && to.is_finite()) || to <= from {
+        return Err(JsonError::schema(
+            "from",
+            "sweep range must be finite with to > from",
+        ));
     }
+    Ok(())
 }
 
-/// `POST /v1/tornado`: one-at-a-time sensitivity analysis over every
-/// Table 1 knob around the scenario's parameters (the paper's Fig. 12).
-#[derive(Debug, Clone, PartialEq)]
-pub struct TornadoRequest {
-    /// The scenario whose parameters anchor the analysis.
-    pub scenario: ScenarioSpec,
-    /// The operating point the ratio is probed at.
-    pub point: OperatingPoint,
-}
-
-impl ToJson for TornadoRequest {
-    fn to_json(&self) -> Value {
-        merge_scenario(&self.scenario, [("point", self.point.to_json())])
+wire_record! {
+    FrontierRequest(..scenario) check frontier_lattice {
+        "point": or base = OperatingPoint::paper_default(),
+        "x_axis": or x_axis = LATTICE_X_AXIS,
+        ("x_from", "x_to"): or x_range = LATTICE_X_RANGE,
+        "y_axis": or y_axis = LATTICE_Y_AXIS,
+        ("y_from", "y_to"): or y_range = LATTICE_Y_RANGE,
+        "steps": or steps = LATTICE_STEPS,
     }
-}
-
-impl FromJson for TornadoRequest {
-    fn from_json(value: &Value) -> Result<TornadoRequest, JsonError> {
-        Ok(TornadoRequest {
-            scenario: ScenarioSpec::from_json(value)?,
-            point: decode_or(value, "point", OperatingPoint::paper_default())?,
-        })
+    GridRequest(..scenario) check grid_lattice {
+        "point": or base = OperatingPoint::paper_default(),
+        "x_axis": or x_axis = LATTICE_X_AXIS,
+        ("x_from", "x_to"): or x_range = LATTICE_X_RANGE,
+        "y_axis": or y_axis = LATTICE_Y_AXIS,
+        ("y_from", "y_to"): or y_range = LATTICE_Y_RANGE,
+        "steps": or steps = LATTICE_STEPS,
+        "stream": omit stream = false,
     }
-}
-
-/// `POST /v1/montecarlo`: Monte-Carlo uncertainty analysis over the
-/// Table 1 knob ranges (the paper's Fig. 13). Deterministic for a given
-/// `(samples, seed)` regardless of thread count.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MonteCarloRequest {
-    /// The scenario whose parameters anchor the study.
-    pub scenario: ScenarioSpec,
-    /// The (fixed) workload operating point.
-    pub point: OperatingPoint,
-    /// Number of parameter samples to draw (1–1 048 576).
-    pub samples: usize,
-    /// RNG seed. Must stay below 2⁵³ so it survives the JSON number
-    /// round-trip exactly.
-    pub seed: u64,
-}
-
-impl MonteCarloRequest {
-    /// Default sample count (matches the CLI default).
-    pub const DEFAULT_SAMPLES: usize = 512;
-    /// Default wire seed. Smaller than [`crate::MonteCarlo::new`]'s default
-    /// because JSON numbers only represent integers below 2⁵³ exactly.
-    pub const DEFAULT_SEED: u64 = 0x9E37_79B9;
-    /// The most samples one request may ask for.
-    pub const MAX_SAMPLES: usize = 1 << 20;
-    /// Exclusive upper bound on seeds (2⁵³): every integer below it has
-    /// an exact JSON representation, while 2⁵³ itself is ambiguous (it is
-    /// also what 2⁵³+1 rounds to). The engine and the CLI both reject
-    /// seeds at or above this bound so local and served runs cannot
-    /// silently diverge.
-    pub const MAX_SEED: u64 = 1 << 53;
-
-    /// A request with the default sample count and seed.
-    pub fn with_defaults(scenario: ScenarioSpec, point: OperatingPoint) -> Self {
-        MonteCarloRequest {
-            scenario,
-            point,
-            samples: MonteCarloRequest::DEFAULT_SAMPLES,
-            seed: MonteCarloRequest::DEFAULT_SEED,
-        }
-    }
-}
-
-impl ToJson for MonteCarloRequest {
-    fn to_json(&self) -> Value {
-        merge_scenario(
-            &self.scenario,
-            [
-                ("point", self.point.to_json()),
-                ("samples", Value::Number(self.samples as f64)),
-                ("seed", Value::Number(self.seed as f64)),
-            ],
-        )
-    }
-}
-
-impl FromJson for MonteCarloRequest {
-    fn from_json(value: &Value) -> Result<MonteCarloRequest, JsonError> {
-        let samples: u64 = decode_or(value, "samples", MonteCarloRequest::DEFAULT_SAMPLES as u64)?;
-        if samples == 0 || samples > MonteCarloRequest::MAX_SAMPLES as u64 {
-            return Err(JsonError::schema(
-                "samples",
-                format!("expected 1 ≤ samples ≤ {}", MonteCarloRequest::MAX_SAMPLES),
-            ));
-        }
-        Ok(MonteCarloRequest {
-            scenario: ScenarioSpec::from_json(value)?,
-            point: decode_or(value, "point", OperatingPoint::paper_default())?,
-            samples: samples as usize,
-            seed: decode_or(value, "seed", MonteCarloRequest::DEFAULT_SEED)?,
-        })
-    }
-}
-
-/// `POST /v1/montecarlo` response: the summary statistics of the sampled
-/// FPGA:ASIC ratio distribution (the full sample vector stays server-side).
-#[derive(Debug, Clone, PartialEq)]
-pub struct MonteCarloResponse {
-    /// Domain the study was run in.
-    pub domain: Domain,
-    /// The (fixed) workload operating point.
-    pub point: OperatingPoint,
-    /// Number of samples drawn.
-    pub samples: u64,
-    /// 5th percentile of the ratio distribution.
-    pub ratio_p5: f64,
-    /// Median ratio.
-    pub ratio_median: f64,
-    /// 95th percentile of the ratio distribution.
-    pub ratio_p95: f64,
-    /// Mean ratio.
-    pub ratio_mean: f64,
-    /// Fraction of samples where the FPGA had the lower footprint.
-    pub fpga_win_probability: f64,
-    /// The platform winning the majority of samples.
-    pub majority_winner: PlatformKind,
-}
-
-impl From<&UncertaintyReport> for MonteCarloResponse {
-    fn from(report: &UncertaintyReport) -> MonteCarloResponse {
-        MonteCarloResponse {
-            domain: report.domain,
-            point: report.point,
-            samples: report.ratios.len() as u64,
-            ratio_p5: report.quantile(0.05),
-            ratio_median: report.median(),
-            ratio_p95: report.quantile(0.95),
-            ratio_mean: report.mean(),
-            fpga_win_probability: report.fpga_win_probability(),
-            majority_winner: report.majority_winner(),
-        }
-    }
-}
-
-impl ToJson for MonteCarloResponse {
-    fn to_json(&self) -> Value {
-        object([
-            ("domain", self.domain.to_json()),
-            ("point", self.point.to_json()),
-            ("samples", Value::Number(self.samples as f64)),
-            ("ratio_p5", Value::Number(self.ratio_p5)),
-            ("ratio_median", Value::Number(self.ratio_median)),
-            ("ratio_p95", Value::Number(self.ratio_p95)),
-            ("ratio_mean", Value::Number(self.ratio_mean)),
-            (
-                "fpga_win_probability",
-                Value::Number(self.fpga_win_probability),
-            ),
-            ("majority_winner", self.majority_winner.to_json()),
-        ])
-    }
-}
-
-impl FromJson for MonteCarloResponse {
-    fn from_json(value: &Value) -> Result<MonteCarloResponse, JsonError> {
-        Ok(MonteCarloResponse {
-            domain: decode(value, "domain")?,
-            point: decode(value, "point")?,
-            samples: decode(value, "samples")?,
-            ratio_p5: decode(value, "ratio_p5")?,
-            ratio_median: decode(value, "ratio_median")?,
-            ratio_p95: decode(value, "ratio_p95")?,
-            ratio_mean: decode(value, "ratio_mean")?,
-            fpga_win_probability: decode(value, "fpga_win_probability")?,
-            majority_winner: decode(value, "majority_winner")?,
-        })
-    }
-}
-
-/// `POST /v1/industry`: the Table 3 industry testcases (Figs. 10–11) under
-/// a configurable deployment scenario.
-#[derive(Debug, Clone, PartialEq)]
-pub struct IndustryRequest {
-    /// Table 1 knob overrides applied on top of the paper defaults.
-    pub knobs: Vec<(Knob, f64)>,
-    /// Total service life in years.
-    pub service_years: f64,
-    /// Applications an FPGA serves over the service life.
-    pub fpga_applications: u64,
-    /// Deployment volume in devices.
-    pub volume: u64,
-}
-
-impl Default for IndustryRequest {
-    /// The paper's setup: 6 years, 3 FPGA applications, 1 M units, no
-    /// overrides.
-    fn default() -> Self {
-        IndustryRequest {
-            knobs: Vec::new(),
-            service_years: 6.0,
-            fpga_applications: 3,
-            volume: 1_000_000,
-        }
-    }
-}
-
-impl ToJson for IndustryRequest {
-    fn to_json(&self) -> Value {
-        object([
-            ("knobs", encode_knob_overrides(&self.knobs)),
-            ("service_years", Value::Number(self.service_years)),
-            (
-                "fpga_applications",
-                Value::Number(self.fpga_applications as f64),
-            ),
-            ("volume", Value::Number(self.volume as f64)),
-        ])
-    }
-}
-
-impl FromJson for IndustryRequest {
-    fn from_json(value: &Value) -> Result<IndustryRequest, JsonError> {
-        if value.as_object().is_none() {
-            return Err(JsonError::schema("industry", "expected a request object"));
-        }
-        let defaults = IndustryRequest::default();
-        let request = IndustryRequest {
-            knobs: decode_knob_overrides(value)?,
-            service_years: decode_or(value, "service_years", defaults.service_years)?,
-            fpga_applications: decode_or(value, "fpga_applications", defaults.fpga_applications)?,
-            volume: decode_or(value, "volume", defaults.volume)?,
-        };
-        if !request.service_years.is_finite() || request.service_years <= 0.0 {
-            return Err(JsonError::schema(
-                "service_years",
-                "expected a positive number of years",
-            ));
-        }
-        if request.fpga_applications == 0 {
-            return Err(JsonError::schema(
-                "fpga_applications",
-                "expected at least one application",
-            ));
-        }
-        if request.volume == 0 {
-            return Err(JsonError::schema("volume", "expected at least one device"));
-        }
-        Ok(request)
-    }
-}
-
-/// One device's footprint in a [`IndustryResponse`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct IndustryDeviceReport {
-    /// Device name (Table 3).
-    pub device: String,
-    /// Which platform the device is.
-    pub platform: PlatformKind,
-    /// Its lifecycle footprint under the requested scenario.
-    pub cfp: CfpBreakdown,
-}
-
-impl ToJson for IndustryDeviceReport {
-    fn to_json(&self) -> Value {
-        object([
-            ("device", Value::String(self.device.clone())),
-            ("platform", self.platform.to_json()),
-            ("cfp", self.cfp.to_json()),
-        ])
-    }
-}
-
-impl FromJson for IndustryDeviceReport {
-    fn from_json(value: &Value) -> Result<IndustryDeviceReport, JsonError> {
-        Ok(IndustryDeviceReport {
-            device: decode(value, "device")?,
-            platform: decode(value, "platform")?,
-            cfp: decode(value, "cfp")?,
-        })
-    }
-}
-
-/// `POST /v1/industry` response: every Table 3 device's footprint, FPGAs
-/// first.
-#[derive(Debug, Clone, PartialEq)]
-pub struct IndustryResponse {
-    /// Per-device footprints.
-    pub devices: Vec<IndustryDeviceReport>,
-}
-
-impl ToJson for IndustryResponse {
-    fn to_json(&self) -> Value {
-        object([(
-            "devices",
-            Value::Array(self.devices.iter().map(ToJson::to_json).collect()),
-        )])
-    }
-}
-
-impl FromJson for IndustryResponse {
-    fn from_json(value: &Value) -> Result<IndustryResponse, JsonError> {
-        Ok(IndustryResponse {
-            devices: decode(value, "devices")?,
-        })
+    SweepRequest(..scenario) check sweep_range {
+        "point": or base = OperatingPoint::paper_default(),
+        "axis": req axis,
+        ("from", "to"): req range,
+        "steps": or steps = 10,
     }
 }
 
@@ -2634,56 +1471,441 @@ impl From<&FrontierResult> for FrontierResponse {
     }
 }
 
-impl ToJson for FrontierResponse {
-    fn to_json(&self) -> Value {
-        let winners = Value::Array(
-            self.fpga_wins
-                .iter()
-                .map(|row| Value::Array(row.iter().map(|&b| Value::Bool(b)).collect()))
-                .collect(),
-        );
-        object([
-            ("domain", self.domain.to_json()),
-            ("x_axis", self.x_axis.to_json()),
-            ("x_values", self.x_values.to_json()),
-            ("y_axis", self.y_axis.to_json()),
-            ("y_values", self.y_values.to_json()),
-            ("fpga_wins", winners),
-            (
-                "fpga_winning_fraction",
-                Value::Number(self.fpga_winning_fraction),
-            ),
-            ("evaluations", Value::Number(self.evaluations as f64)),
-            ("evaluated_fraction", Value::Number(self.evaluated_fraction)),
-        ])
+fn frontier_is_rectangular(response: &FrontierResponse, _: &Value) -> Result<(), JsonError> {
+    if response.fpga_wins.len() != response.y_values.len()
+        || response
+            .fpga_wins
+            .iter()
+            .any(|row| row.len() != response.x_values.len())
+    {
+        return Err(JsonError::schema(
+            "fpga_wins",
+            "expected one row per y value and one column per x value",
+        ));
+    }
+    Ok(())
+}
+
+wire_record! {
+    FrontierResponse check frontier_is_rectangular {
+        "domain": req domain,
+        "x_axis": req x_axis,
+        "x_values": req x_values,
+        "y_axis": req y_axis,
+        "y_values": req y_values,
+        "fpga_wins": req fpga_wins,
+        "fpga_winning_fraction": req fpga_winning_fraction,
+        "evaluations": req evaluations,
+        "evaluated_fraction": req evaluated_fraction,
     }
 }
 
-impl FromJson for FrontierResponse {
-    fn from_json(value: &Value) -> Result<FrontierResponse, JsonError> {
-        let response = FrontierResponse {
-            domain: decode(value, "domain")?,
-            x_axis: decode(value, "x_axis")?,
-            x_values: decode(value, "x_values")?,
-            y_axis: decode(value, "y_axis")?,
-            y_values: decode(value, "y_values")?,
-            fpga_wins: decode(value, "fpga_wins")?,
-            fpga_winning_fraction: decode(value, "fpga_winning_fraction")?,
-            evaluations: decode(value, "evaluations")?,
-            evaluated_fraction: decode(value, "evaluated_fraction")?,
-        };
-        if response.fpga_wins.len() != response.y_values.len()
-            || response
-                .fpga_wins
-                .iter()
-                .any(|row| row.len() != response.x_values.len())
-        {
-            return Err(JsonError::schema(
-                "fpga_wins",
-                "expected one row per y value and one column per x value",
-            ));
+// ---------------------------------------------------------------------------
+// Comparisons, sensitivity, uncertainty and the industry testcases
+// ---------------------------------------------------------------------------
+
+/// `POST /v1/compare`: one operating point evaluated side by side in
+/// several scenarios (e.g. all three domains at their baselines).
+#[derive(Debug, Clone, PartialEq)]
+pub struct CompareRequest {
+    /// The scenarios to evaluate, in response order (1–16).
+    pub scenarios: Vec<ScenarioSpec>,
+    /// The operating point shared by every scenario.
+    pub point: OperatingPoint,
+}
+
+impl CompareRequest {
+    /// The most scenarios one request may carry.
+    pub const MAX_SCENARIOS: usize = 16;
+}
+
+fn compare_count(request: &CompareRequest, _: &Value) -> Result<(), JsonError> {
+    if !(1..=CompareRequest::MAX_SCENARIOS).contains(&request.scenarios.len()) {
+        return Err(JsonError::schema(
+            "scenarios",
+            format!("expected 1 to {} scenarios", CompareRequest::MAX_SCENARIOS),
+        ));
+    }
+    Ok(())
+}
+
+/// `POST /v1/compare` response: one comparison per requested scenario, in
+/// request order.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CompareResponse {
+    /// The comparisons, in request order.
+    pub comparisons: Vec<PlatformComparison>,
+}
+
+/// `POST /v1/tornado`: one-at-a-time sensitivity analysis over every
+/// Table 1 knob around the scenario's parameters (the paper's Fig. 12).
+#[derive(Debug, Clone, PartialEq)]
+pub struct TornadoRequest {
+    /// The scenario whose parameters anchor the analysis.
+    pub scenario: ScenarioSpec,
+    /// The operating point the ratio is probed at.
+    pub point: OperatingPoint,
+}
+
+wire_record! {
+    CompareRequest check compare_count {
+        "scenarios": req scenarios,
+        "point": or point = OperatingPoint::paper_default(),
+    }
+    CompareResponse {
+        "count" => comparisons.len,
+        "results": req comparisons,
+    }
+    TornadoRequest(..scenario) {
+        "point": or point = OperatingPoint::paper_default(),
+    }
+}
+
+/// `POST /v1/montecarlo`: Monte-Carlo uncertainty analysis over the
+/// Table 1 knob ranges (the paper's Fig. 13). Deterministic for a given
+/// `(samples, seed)` regardless of thread count.
+#[derive(Debug, Clone, PartialEq)]
+pub struct MonteCarloRequest {
+    /// The scenario whose parameters anchor the study.
+    pub scenario: ScenarioSpec,
+    /// The (fixed) workload operating point.
+    pub point: OperatingPoint,
+    /// Number of parameter samples to draw (1–1 048 576).
+    pub samples: usize,
+    /// RNG seed. Must stay below 2⁵³ so it survives the JSON number
+    /// round-trip exactly.
+    pub seed: u64,
+}
+
+impl MonteCarloRequest {
+    /// Default sample count (matches the CLI default).
+    pub const DEFAULT_SAMPLES: usize = 512;
+    /// Default wire seed. Smaller than [`crate::MonteCarlo::new`]'s default
+    /// because JSON numbers only represent integers below 2⁵³ exactly.
+    pub const DEFAULT_SEED: u64 = 0x9E37_79B9;
+    /// The most samples one request may ask for.
+    pub const MAX_SAMPLES: usize = 1 << 20;
+    /// Exclusive upper bound on seeds (2⁵³): every integer below it has
+    /// an exact JSON representation, while 2⁵³ itself is ambiguous (it is
+    /// also what 2⁵³+1 rounds to). The engine and the CLI both reject
+    /// seeds at or above this bound so local and served runs cannot
+    /// silently diverge.
+    pub const MAX_SEED: u64 = 1 << 53;
+
+    /// A request with the default sample count and seed.
+    pub fn with_defaults(scenario: ScenarioSpec, point: OperatingPoint) -> Self {
+        MonteCarloRequest {
+            scenario,
+            point,
+            samples: MonteCarloRequest::DEFAULT_SAMPLES,
+            seed: MonteCarloRequest::DEFAULT_SEED,
         }
-        Ok(response)
+    }
+}
+
+fn monte_carlo_samples(request: &MonteCarloRequest, _: &Value) -> Result<(), JsonError> {
+    if !(1..=MonteCarloRequest::MAX_SAMPLES).contains(&request.samples) {
+        return Err(JsonError::schema(
+            "samples",
+            format!("expected 1 ≤ samples ≤ {}", MonteCarloRequest::MAX_SAMPLES),
+        ));
+    }
+    Ok(())
+}
+
+/// `POST /v1/montecarlo` response: the summary statistics of the sampled
+/// FPGA:ASIC ratio distribution (the full sample vector stays server-side).
+#[derive(Debug, Clone, PartialEq)]
+pub struct MonteCarloResponse {
+    /// Domain the study was run in.
+    pub domain: Domain,
+    /// The (fixed) workload operating point.
+    pub point: OperatingPoint,
+    /// Number of samples drawn.
+    pub samples: u64,
+    /// 5th percentile of the ratio distribution.
+    pub ratio_p5: f64,
+    /// Median ratio.
+    pub ratio_median: f64,
+    /// 95th percentile of the ratio distribution.
+    pub ratio_p95: f64,
+    /// Mean ratio.
+    pub ratio_mean: f64,
+    /// Fraction of samples where the FPGA had the lower footprint.
+    pub fpga_win_probability: f64,
+    /// The platform winning the majority of samples.
+    pub majority_winner: PlatformKind,
+}
+
+impl From<&UncertaintyReport> for MonteCarloResponse {
+    fn from(report: &UncertaintyReport) -> MonteCarloResponse {
+        MonteCarloResponse {
+            domain: report.domain,
+            point: report.point,
+            samples: report.ratios.len() as u64,
+            ratio_p5: report.quantile(0.05),
+            ratio_median: report.median(),
+            ratio_p95: report.quantile(0.95),
+            ratio_mean: report.mean(),
+            fpga_win_probability: report.fpga_win_probability(),
+            majority_winner: report.majority_winner(),
+        }
+    }
+}
+
+wire_record! {
+    MonteCarloRequest(..scenario) check monte_carlo_samples {
+        "point": or point = OperatingPoint::paper_default(),
+        "samples": or samples = Self::DEFAULT_SAMPLES,
+        "seed": or seed = Self::DEFAULT_SEED,
+    }
+    MonteCarloResponse {
+        "domain": req domain,
+        "point": req point,
+        "samples": req samples,
+        "ratio_p5": req ratio_p5,
+        "ratio_median": req ratio_median,
+        "ratio_p95": req ratio_p95,
+        "ratio_mean": req ratio_mean,
+        "fpga_win_probability": req fpga_win_probability,
+        "majority_winner": req majority_winner,
+    }
+}
+
+/// `POST /v1/industry`: the Table 3 industry testcases (Figs. 10–11) under
+/// a configurable deployment scenario.
+#[derive(Debug, Clone, PartialEq)]
+pub struct IndustryRequest {
+    /// Table 1 knob overrides applied on top of the paper defaults.
+    pub knobs: Vec<(Knob, f64)>,
+    /// Total service life in years.
+    pub service_years: f64,
+    /// Applications an FPGA serves over the service life.
+    pub fpga_applications: u64,
+    /// Deployment volume in devices.
+    pub volume: u64,
+}
+
+impl Default for IndustryRequest {
+    /// The paper's setup: 6 years, 3 FPGA applications, 1 M units, no
+    /// overrides.
+    fn default() -> Self {
+        IndustryRequest {
+            knobs: Vec::new(),
+            service_years: 6.0,
+            fpga_applications: 3,
+            volume: 1_000_000,
+        }
+    }
+}
+
+fn industry_bounds(request: &IndustryRequest, value: &Value) -> Result<(), JsonError> {
+    require_object(value, "industry", "expected a request object")?;
+    if !request.service_years.is_finite() || request.service_years <= 0.0 {
+        return Err(JsonError::schema(
+            "service_years",
+            "expected a positive number of years",
+        ));
+    }
+    if request.fpga_applications == 0 {
+        return Err(JsonError::schema(
+            "fpga_applications",
+            "expected at least one application",
+        ));
+    }
+    if request.volume == 0 {
+        return Err(JsonError::schema("volume", "expected at least one device"));
+    }
+    Ok(())
+}
+
+/// One device's footprint in a [`IndustryResponse`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct IndustryDeviceReport {
+    /// Device name (Table 3).
+    pub device: String,
+    /// Which platform the device is.
+    pub platform: PlatformKind,
+    /// Its lifecycle footprint under the requested scenario.
+    pub cfp: CfpBreakdown,
+}
+
+/// `POST /v1/industry` response: every Table 3 device's footprint, FPGAs
+/// first.
+#[derive(Debug, Clone, PartialEq)]
+pub struct IndustryResponse {
+    /// Per-device footprints.
+    pub devices: Vec<IndustryDeviceReport>,
+}
+
+wire_record! {
+    IndustryRequest check industry_bounds {
+        "knobs": or knobs as KnobMap = Vec::new(),
+        "service_years": or service_years = Self::default().service_years,
+        "fpga_applications": or fpga_applications = Self::default().fpga_applications,
+        "volume": or volume = Self::default().volume,
+    }
+    IndustryDeviceReport {
+        "device": req device,
+        "platform": req platform,
+        "cfp": req cfp,
+    }
+    IndustryResponse {
+        "devices": req devices,
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Serving observability
+// ---------------------------------------------------------------------------
+
+/// One latency histogram of `GET /v1/metrics`: `bounds_us[i]` is the
+/// inclusive upper bound (microseconds) of bucket `i`, and `counts` has one
+/// extra trailing bucket for everything above the last bound (JSON has no
+/// lexeme for infinity, so the overflow bound is implicit).
+#[derive(Debug, Clone, PartialEq)]
+pub struct LatencyHistogram {
+    /// Inclusive bucket upper bounds in microseconds, ascending.
+    pub bounds_us: Vec<f64>,
+    /// Observation counts; `counts.len() == bounds_us.len() + 1` (the last
+    /// bucket is the overflow bucket).
+    pub counts: Vec<u64>,
+}
+
+fn histogram_buckets(histogram: &LatencyHistogram, _: &Value) -> Result<(), JsonError> {
+    if histogram.counts.len() != histogram.bounds_us.len() + 1 {
+        return Err(JsonError::schema(
+            "counts",
+            "expected one count per bound plus the overflow bucket",
+        ));
+    }
+    Ok(())
+}
+
+/// One route's counters in `GET /v1/metrics`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RouteMetrics {
+    /// Stable route label, e.g. `"POST /v1/evaluate"`.
+    pub route: String,
+    /// Requests answered on this route (any status).
+    pub requests: u64,
+    /// Requests answered with a non-2xx status. Kept as the sum of
+    /// `errors_4xx + errors_5xx` for consumers that predate the split.
+    pub errors: u64,
+    /// Requests answered with a 4xx status (client faults).
+    pub errors_4xx: u64,
+    /// Requests answered with a 5xx (or other non-2xx, non-4xx) status —
+    /// server faults.
+    pub errors_5xx: u64,
+    /// Request-body bytes received on this route.
+    pub bytes_in: u64,
+    /// Response-body bytes sent on this route.
+    pub bytes_out: u64,
+    /// Handler latency distribution.
+    pub latency: LatencyHistogram,
+}
+
+/// One scenario-cache shard's counters in `GET /v1/metrics`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CacheShardMetrics {
+    /// Compiled scenarios currently cached in the shard.
+    pub entries: u64,
+    /// Lifetime lookup hits.
+    pub hits: u64,
+    /// Lifetime lookup misses (compilations).
+    pub misses: u64,
+}
+
+/// `GET /v1/metrics` response: the serving core's observability snapshot —
+/// per-route request/error counters and latency histograms, per-shard
+/// scenario-cache statistics, and the connection governor's gauges.
+#[derive(Debug, Clone, PartialEq)]
+pub struct MetricsResponse {
+    /// Requests answered over the server's lifetime (any route, any status).
+    pub requests_served: u64,
+    /// Connections currently accepted and not yet finished.
+    pub connections_live: u64,
+    /// The governor's hard cap on live connections.
+    pub connections_max: u64,
+    /// Connections rejected with `503` by admission control.
+    pub connections_rejected: u64,
+    /// Per-route counters, in stable route order.
+    pub routes: Vec<RouteMetrics>,
+    /// Per-shard scenario-cache statistics, in shard order.
+    pub cache_shards: Vec<CacheShardMetrics>,
+}
+
+/// One span in `GET /v1/trace`: a named, timed slice of work with the
+/// request id that correlates it to an `x-request-id` response header.
+#[derive(Debug, Clone, PartialEq)]
+pub struct TraceSpan {
+    /// Span class, e.g. `"parse"`, `"execute"`, `"cache_hit"`.
+    pub name: String,
+    /// Unique span id, 16 lowercase hex digits.
+    pub span_id: String,
+    /// Owning request id, 16 lowercase hex digits (all zeros when the
+    /// span is not request-scoped).
+    pub request_id: String,
+    /// Start, in nanoseconds since the process trace epoch.
+    pub start_ns: u64,
+    /// Duration in nanoseconds (`0` for instant events).
+    pub duration_ns: u64,
+    /// Span-class-specific detail (cache shard index, byte count, ...).
+    pub aux: u64,
+    /// Recording thread's trace-ring id.
+    pub thread: u64,
+}
+
+/// `GET /v1/trace` response: the most recent spans from every thread's
+/// trace ring, newest first.
+#[derive(Debug, Clone, PartialEq)]
+pub struct TraceResponse {
+    /// Recent spans, newest first.
+    pub spans: Vec<TraceSpan>,
+    /// Whether tracing is currently recording.
+    pub enabled: bool,
+}
+
+wire_record! {
+    LatencyHistogram check histogram_buckets {
+        "bounds_us": req bounds_us,
+        "counts": req counts,
+    }
+    RouteMetrics {
+        "route": req route,
+        "requests": req requests,
+        "errors": req errors,
+        "errors_4xx": or errors_4xx = 0,
+        "errors_5xx": or errors_5xx = 0,
+        "bytes_in": or bytes_in = 0,
+        "bytes_out": or bytes_out = 0,
+        "latency": req latency,
+    }
+    CacheShardMetrics {
+        "entries": req entries,
+        "hits": req hits,
+        "misses": req misses,
+    }
+    MetricsResponse {
+        "requests_served": req requests_served,
+        "connections_live": req connections_live,
+        "connections_max": req connections_max,
+        "connections_rejected": req connections_rejected,
+        "routes": req routes,
+        "cache_shards": req cache_shards,
+    }
+    TraceSpan {
+        "name": req name,
+        "span_id": req span_id,
+        "request_id": req request_id,
+        "start_ns": req start_ns,
+        "duration_ns": req duration_ns,
+        "aux": or aux = 0,
+        "thread": or thread = 0,
+    }
+    TraceResponse {
+        "spans": req spans,
+        "enabled": or enabled = true,
     }
 }
 
@@ -2703,126 +1925,186 @@ impl ToJson for ApiError {
 impl FromJson for ApiError {
     fn from_json(value: &Value) -> Result<ApiError, JsonError> {
         let error = field(value, "error")?;
-        let id: String = decode(error, "code")?;
+        let id: String = error.member("code")?;
         let code = ApiErrorCode::parse_id(&id)
             .ok_or_else(|| JsonError::schema("error.code", format!("unknown code '{id}'")))?;
-        let message: String = decode(error, "message")?;
-        let retryable = decode_or(error, "retryable", code.default_retryable())?;
         Ok(ApiError {
             code,
-            message,
-            retryable,
+            message: error.member("message")?,
+            retryable: error
+                .member::<Option<bool>>("retryable")?
+                .unwrap_or(code.default_retryable()),
         })
     }
 }
 
-/// The kind discriminator of [`Query`]/[`Outcome`] — one entry per
-/// workload the engine serves. The kind's [`QueryKind::id`] doubles as the
-/// envelope's `"kind"` member, and [`QueryKind::path`] as the HTTP route
-/// (`POST /v1/<id>`), so the route table, the envelope dispatch and the
-/// metrics labels all derive from this one enumeration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum QueryKind {
+// ---------------------------------------------------------------------------
+// Query kinds and the versioned envelope
+// ---------------------------------------------------------------------------
+
+/// Declares the query kinds once, one row each: variant, wire id, HTTP
+/// method, request type and response type. Generates [`QueryKind`],
+/// [`Query`], [`Outcome`] and their dispatch.
+macro_rules! query_kinds {
+    ($( $(#[doc = $doc:literal])* $variant:ident = $id:literal $method:literal, $request:ty => $response:ty; )*) => {
+        /// The kind discriminator of [`Query`]/[`Outcome`] — one entry per
+        /// workload the engine serves. The kind's [`QueryKind::id`] doubles
+        /// as the envelope's `"kind"` member, and [`QueryKind::path`] as the
+        /// HTTP route (`POST /v1/<id>`), so the route table, the envelope
+        /// dispatch and the metrics labels all derive from this one
+        /// enumeration.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        pub enum QueryKind {
+            $( $(#[doc = $doc])* $variant, )*
+        }
+
+        impl QueryKind {
+            /// Every kind, in documentation and route-table order.
+            pub const ALL: [QueryKind; [$($id),*].len()] = [$(QueryKind::$variant),*];
+
+            /// The stable identifier used by the envelope's `"kind"` member.
+            pub fn id(self) -> &'static str {
+                match self {
+                    $( QueryKind::$variant => $id, )*
+                }
+            }
+
+            /// The HTTP route serving this kind (see [`QueryKind::method`]).
+            pub fn path(self) -> &'static str {
+                match self {
+                    $( QueryKind::$variant => concat!("/v1/", $id), )*
+                }
+            }
+
+            /// The HTTP method serving this kind: `GET` for the
+            /// parameter-less catalog listing, `POST` for every kind that
+            /// carries a request body.
+            pub fn method(self) -> &'static str {
+                match self {
+                    $( QueryKind::$variant => $method, )*
+                }
+            }
+
+            /// Decodes this kind's request payload (the flat request object a
+            /// `POST /v1/<kind>` body carries — no envelope members required).
+            ///
+            /// # Errors
+            ///
+            /// Returns the schema error of the offending member.
+            pub fn decode_request(self, value: &Value) -> Result<Query, JsonError> {
+                Ok(match self {
+                    $( QueryKind::$variant => Query::$variant(<$request>::from_json(value)?), )*
+                })
+            }
+
+            /// Decodes this kind's response payload (the bare result object a
+            /// `POST /v1/<kind>` route answers with).
+            ///
+            /// # Errors
+            ///
+            /// Returns the schema error of the offending member.
+            pub fn decode_result(self, value: &Value) -> Result<Outcome, JsonError> {
+                Ok(match self {
+                    $( QueryKind::$variant => Outcome::$variant(<$response>::from_json(value)?), )*
+                })
+            }
+        }
+
+        /// One request against the unified engine surface — every workload
+        /// the library, the HTTP server and the CLI can answer, as one
+        /// versioned type.
+        ///
+        /// The JSON form is a flat envelope: the request payload with `"v"`
+        /// (the [`API_VERSION`]) and `"kind"` (the [`QueryKind::id`])
+        /// prepended:
+        ///
+        /// ```json
+        /// {"v": 1, "kind": "sweep", "domain": "dnn", "axis": "apps",
+        ///  "from": 1, "to": 12, "steps": 12}
+        /// ```
+        #[derive(Debug, Clone, PartialEq)]
+        pub enum Query {
+            $( $(#[doc = $doc])* $variant($request), )*
+        }
+
+        impl Query {
+            /// This query's kind discriminator.
+            pub fn kind(&self) -> QueryKind {
+                match self {
+                    $( Query::$variant(_) => QueryKind::$variant, )*
+                }
+            }
+
+            /// The flat request payload (what a `POST /v1/<kind>` body
+            /// carries, without the envelope members).
+            pub fn request_body(&self) -> Value {
+                match self {
+                    $( Query::$variant(request) => request.to_json(), )*
+                }
+            }
+        }
+
+        /// The result of running a [`Query`] — one variant per query kind,
+        /// in the same order. The JSON form is
+        /// `{"v": 1, "kind": "<id>", "result": ...}` where `result` is
+        /// exactly the body the matching HTTP route answers with.
+        #[derive(Debug, Clone, PartialEq)]
+        pub enum Outcome {
+            $( #[doc = concat!("Result of [`Query::", stringify!($variant), "`].")] $variant($response), )*
+        }
+
+        impl Outcome {
+            /// This outcome's kind discriminator.
+            pub fn kind(&self) -> QueryKind {
+                match self {
+                    $( Outcome::$variant(_) => QueryKind::$variant, )*
+                }
+            }
+
+            /// The bare result payload — exactly the body the matching
+            /// `POST /v1/<kind>` route answers with.
+            pub fn result_json(&self) -> Value {
+                match self {
+                    $( Outcome::$variant(response) => response.to_json(), )*
+                }
+            }
+        }
+    };
+}
+
+query_kinds! {
     /// One operating point in one scenario.
-    Evaluate,
+    Evaluate = "evaluate" "POST", EvaluateRequest => EvaluateResponse;
     /// Many operating points in one scenario (SoA batch kernel).
-    Batch,
+    Batch = "batch" "POST", BatchEvalRequest => BatchEvalResponse;
     /// One point evaluated side by side in several scenarios.
-    Compare,
+    Compare = "compare" "POST", CompareRequest => CompareResponse;
     /// The three crossover searches (closed-form solver).
-    Crossover,
+    Crossover = "crossover" "POST", CrossoverRequest => CrossoverResponse;
     /// Adaptive winner map over a 2-D lattice (quadtree refiner).
-    Frontier,
+    Frontier = "frontier" "POST", FrontierRequest => FrontierResponse;
     /// One axis swept over a linear range.
-    Sweep,
+    Sweep = "sweep" "POST", SweepRequest => SweepSeries;
     /// Dense ratio heatmap over a 2-D lattice.
-    Grid,
+    Grid = "grid" "POST", GridRequest => GridSweep;
     /// One-at-a-time sensitivity analysis over the Table 1 knobs.
-    Tornado,
+    Tornado = "tornado" "POST", TornadoRequest => TornadoAnalysis;
     /// Monte-Carlo uncertainty analysis over the Table 1 ranges.
-    MonteCarlo,
+    MonteCarlo = "montecarlo" "POST", MonteCarloRequest => MonteCarloResponse;
     /// The Table 3 industry testcases.
-    Industry,
+    Industry = "industry" "POST", IndustryRequest => IndustryResponse;
     /// One named-catalog (or inline) scenario, evaluated and scored.
-    Scenario,
+    Scenario = "scenario" "POST", ScenarioRunRequest => ScenarioRunResponse;
     /// A scenario replayed against a time-varying carbon intensity.
-    Replay,
+    Replay = "replay" "POST", ReplayRequest => ReplayResponse;
     /// An inverse query: minimize an objective (or fill a carbon budget)
     /// over a box of search knobs.
-    Optimize,
+    Optimize = "optimize" "POST", OptimizeRequest => OptimizeResponse;
     /// The scenario-catalog listing (the one `GET` kind).
-    Catalog,
+    Catalog = "catalog" "GET", CatalogRequest => CatalogResponse;
 }
 
 impl QueryKind {
-    /// Every kind, in documentation and route-table order.
-    pub const ALL: [QueryKind; 14] = [
-        QueryKind::Evaluate,
-        QueryKind::Batch,
-        QueryKind::Compare,
-        QueryKind::Crossover,
-        QueryKind::Frontier,
-        QueryKind::Sweep,
-        QueryKind::Grid,
-        QueryKind::Tornado,
-        QueryKind::MonteCarlo,
-        QueryKind::Industry,
-        QueryKind::Scenario,
-        QueryKind::Replay,
-        QueryKind::Optimize,
-        QueryKind::Catalog,
-    ];
-
-    /// The stable identifier used by the envelope's `"kind"` member.
-    pub fn id(self) -> &'static str {
-        match self {
-            QueryKind::Evaluate => "evaluate",
-            QueryKind::Batch => "batch",
-            QueryKind::Compare => "compare",
-            QueryKind::Crossover => "crossover",
-            QueryKind::Frontier => "frontier",
-            QueryKind::Sweep => "sweep",
-            QueryKind::Grid => "grid",
-            QueryKind::Tornado => "tornado",
-            QueryKind::MonteCarlo => "montecarlo",
-            QueryKind::Industry => "industry",
-            QueryKind::Scenario => "scenario",
-            QueryKind::Replay => "replay",
-            QueryKind::Optimize => "optimize",
-            QueryKind::Catalog => "catalog",
-        }
-    }
-
-    /// The HTTP route serving this kind (see [`QueryKind::method`]).
-    pub fn path(self) -> &'static str {
-        match self {
-            QueryKind::Evaluate => "/v1/evaluate",
-            QueryKind::Batch => "/v1/batch",
-            QueryKind::Compare => "/v1/compare",
-            QueryKind::Crossover => "/v1/crossover",
-            QueryKind::Frontier => "/v1/frontier",
-            QueryKind::Sweep => "/v1/sweep",
-            QueryKind::Grid => "/v1/grid",
-            QueryKind::Tornado => "/v1/tornado",
-            QueryKind::MonteCarlo => "/v1/montecarlo",
-            QueryKind::Industry => "/v1/industry",
-            QueryKind::Scenario => "/v1/scenario",
-            QueryKind::Replay => "/v1/replay",
-            QueryKind::Optimize => "/v1/optimize",
-            QueryKind::Catalog => "/v1/catalog",
-        }
-    }
-
-    /// The HTTP method serving this kind: `GET` for the parameter-less
-    /// catalog listing, `POST` for every kind that carries a request
-    /// body.
-    pub fn method(self) -> &'static str {
-        match self {
-            QueryKind::Catalog => "GET",
-            _ => "POST",
-        }
-    }
-
     /// Parses an envelope identifier back to its kind.
     pub fn parse_id(id: &str) -> Option<QueryKind> {
         QueryKind::ALL.into_iter().find(|kind| kind.id() == id)
@@ -2832,56 +2114,6 @@ impl QueryKind {
     pub fn from_path(path: &str) -> Option<QueryKind> {
         QueryKind::ALL.into_iter().find(|kind| kind.path() == path)
     }
-
-    /// Decodes this kind's request payload (the flat request object a
-    /// `POST /v1/<kind>` body carries — no envelope members required).
-    ///
-    /// # Errors
-    ///
-    /// Returns the schema error of the offending member.
-    pub fn decode_request(self, value: &Value) -> Result<Query, JsonError> {
-        Ok(match self {
-            QueryKind::Evaluate => Query::Evaluate(EvaluateRequest::from_json(value)?),
-            QueryKind::Batch => Query::Batch(BatchEvalRequest::from_json(value)?),
-            QueryKind::Compare => Query::Compare(CompareRequest::from_json(value)?),
-            QueryKind::Crossover => Query::Crossover(CrossoverRequest::from_json(value)?),
-            QueryKind::Frontier => Query::Frontier(FrontierRequest::from_json(value)?),
-            QueryKind::Sweep => Query::Sweep(SweepRequest::from_json(value)?),
-            QueryKind::Grid => Query::Grid(GridRequest::from_json(value)?),
-            QueryKind::Tornado => Query::Tornado(TornadoRequest::from_json(value)?),
-            QueryKind::MonteCarlo => Query::MonteCarlo(MonteCarloRequest::from_json(value)?),
-            QueryKind::Industry => Query::Industry(IndustryRequest::from_json(value)?),
-            QueryKind::Scenario => Query::Scenario(ScenarioRunRequest::from_json(value)?),
-            QueryKind::Replay => Query::Replay(ReplayRequest::from_json(value)?),
-            QueryKind::Optimize => Query::Optimize(OptimizeRequest::from_json(value)?),
-            QueryKind::Catalog => Query::Catalog(CatalogRequest::from_json(value)?),
-        })
-    }
-
-    /// Decodes this kind's response payload (the bare result object a
-    /// `POST /v1/<kind>` route answers with).
-    ///
-    /// # Errors
-    ///
-    /// Returns the schema error of the offending member.
-    pub fn decode_result(self, value: &Value) -> Result<Outcome, JsonError> {
-        Ok(match self {
-            QueryKind::Evaluate => Outcome::Evaluate(EvaluateResponse::from_json(value)?),
-            QueryKind::Batch => Outcome::Batch(BatchEvalResponse::from_json(value)?),
-            QueryKind::Compare => Outcome::Compare(CompareResponse::from_json(value)?),
-            QueryKind::Crossover => Outcome::Crossover(CrossoverResponse::from_json(value)?),
-            QueryKind::Frontier => Outcome::Frontier(FrontierResponse::from_json(value)?),
-            QueryKind::Sweep => Outcome::Sweep(SweepSeries::from_json(value)?),
-            QueryKind::Grid => Outcome::Grid(GridSweep::from_json(value)?),
-            QueryKind::Tornado => Outcome::Tornado(TornadoAnalysis::from_json(value)?),
-            QueryKind::MonteCarlo => Outcome::MonteCarlo(MonteCarloResponse::from_json(value)?),
-            QueryKind::Industry => Outcome::Industry(IndustryResponse::from_json(value)?),
-            QueryKind::Scenario => Outcome::Scenario(ScenarioRunResponse::from_json(value)?),
-            QueryKind::Replay => Outcome::Replay(ReplayResponse::from_json(value)?),
-            QueryKind::Optimize => Outcome::Optimize(OptimizeResponse::from_json(value)?),
-            QueryKind::Catalog => Outcome::Catalog(CatalogResponse::from_json(value)?),
-        })
-    }
 }
 
 impl std::fmt::Display for QueryKind {
@@ -2890,101 +2122,16 @@ impl std::fmt::Display for QueryKind {
     }
 }
 
-/// One request against the unified engine surface — every workload the
-/// library, the HTTP server and the CLI can answer, as one versioned type.
-///
-/// The JSON form is a flat envelope: the request payload with `"v"` (the
-/// [`API_VERSION`]) and `"kind"` (the [`QueryKind::id`]) prepended:
-///
-/// ```json
-/// {"v": 1, "kind": "sweep", "domain": "dnn", "axis": "apps",
-///  "from": 1, "to": 12, "steps": 12}
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub enum Query {
-    /// One operating point in one scenario.
-    Evaluate(EvaluateRequest),
-    /// Many operating points in one scenario.
-    Batch(BatchEvalRequest),
-    /// One point across several scenarios.
-    Compare(CompareRequest),
-    /// The three crossover searches.
-    Crossover(CrossoverRequest),
-    /// Adaptive winner map over a 2-D lattice.
-    Frontier(FrontierRequest),
-    /// One axis swept over a linear range.
-    Sweep(SweepRequest),
-    /// Dense ratio heatmap over a 2-D lattice.
-    Grid(GridRequest),
-    /// One-at-a-time knob sensitivity analysis.
-    Tornado(TornadoRequest),
-    /// Monte-Carlo uncertainty analysis.
-    MonteCarlo(MonteCarloRequest),
-    /// The Table 3 industry testcases.
-    Industry(IndustryRequest),
-    /// One named-catalog (or inline) scenario, evaluated and scored.
-    Scenario(ScenarioRunRequest),
-    /// A scenario replayed against a time-varying carbon intensity.
-    Replay(ReplayRequest),
-    /// An inverse query over a box of search knobs.
-    Optimize(OptimizeRequest),
-    /// The scenario-catalog listing.
-    Catalog(CatalogRequest),
-}
-
-impl Query {
-    /// This query's kind discriminator.
-    pub fn kind(&self) -> QueryKind {
-        match self {
-            Query::Evaluate(_) => QueryKind::Evaluate,
-            Query::Batch(_) => QueryKind::Batch,
-            Query::Compare(_) => QueryKind::Compare,
-            Query::Crossover(_) => QueryKind::Crossover,
-            Query::Frontier(_) => QueryKind::Frontier,
-            Query::Sweep(_) => QueryKind::Sweep,
-            Query::Grid(_) => QueryKind::Grid,
-            Query::Tornado(_) => QueryKind::Tornado,
-            Query::MonteCarlo(_) => QueryKind::MonteCarlo,
-            Query::Industry(_) => QueryKind::Industry,
-            Query::Scenario(_) => QueryKind::Scenario,
-            Query::Replay(_) => QueryKind::Replay,
-            Query::Optimize(_) => QueryKind::Optimize,
-            Query::Catalog(_) => QueryKind::Catalog,
-        }
-    }
-
-    /// The flat request payload (what a `POST /v1/<kind>` body carries,
-    /// without the envelope members).
-    pub fn request_body(&self) -> Value {
-        match self {
-            Query::Evaluate(request) => request.to_json(),
-            Query::Batch(request) => request.to_json(),
-            Query::Compare(request) => request.to_json(),
-            Query::Crossover(request) => request.to_json(),
-            Query::Frontier(request) => request.to_json(),
-            Query::Sweep(request) => request.to_json(),
-            Query::Grid(request) => request.to_json(),
-            Query::Tornado(request) => request.to_json(),
-            Query::MonteCarlo(request) => request.to_json(),
-            Query::Industry(request) => request.to_json(),
-            Query::Scenario(request) => request.to_json(),
-            Query::Replay(request) => request.to_json(),
-            Query::Optimize(request) => request.to_json(),
-            Query::Catalog(request) => request.to_json(),
-        }
-    }
-}
-
 /// Reads and validates the `"v"`/`"kind"` envelope members.
 fn decode_envelope(value: &Value) -> Result<QueryKind, JsonError> {
-    let version: u64 = decode_or(value, "v", API_VERSION)?;
+    let version = value.member::<Option<u64>>("v")?.unwrap_or(API_VERSION);
     if version != API_VERSION {
         return Err(JsonError::schema(
             "v",
             format!("unsupported API version {version} (this build speaks {API_VERSION})"),
         ));
     }
-    let id: String = decode(value, "kind")?;
+    let id: String = value.member("kind")?;
     QueryKind::parse_id(&id)
         .ok_or_else(|| JsonError::schema("kind", format!("unknown query kind '{id}'")))
 }
@@ -3015,85 +2162,6 @@ impl FromJson for Query {
     }
 }
 
-/// The result of running a [`Query`] — one variant per query kind, in the
-/// same order. The JSON form is `{"v": 1, "kind": "<id>", "result": ...}`
-/// where `result` is exactly the body the matching HTTP route answers
-/// with.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Outcome {
-    /// Result of [`Query::Evaluate`].
-    Evaluate(EvaluateResponse),
-    /// Result of [`Query::Batch`].
-    Batch(BatchEvalResponse),
-    /// Result of [`Query::Compare`].
-    Compare(CompareResponse),
-    /// Result of [`Query::Crossover`].
-    Crossover(CrossoverResponse),
-    /// Result of [`Query::Frontier`].
-    Frontier(FrontierResponse),
-    /// Result of [`Query::Sweep`].
-    Sweep(SweepSeries),
-    /// Result of [`Query::Grid`].
-    Grid(GridSweep),
-    /// Result of [`Query::Tornado`].
-    Tornado(TornadoAnalysis),
-    /// Result of [`Query::MonteCarlo`].
-    MonteCarlo(MonteCarloResponse),
-    /// Result of [`Query::Industry`].
-    Industry(IndustryResponse),
-    /// Result of [`Query::Scenario`].
-    Scenario(ScenarioRunResponse),
-    /// Result of [`Query::Replay`].
-    Replay(ReplayResponse),
-    /// Result of [`Query::Optimize`].
-    Optimize(OptimizeResponse),
-    /// Result of [`Query::Catalog`].
-    Catalog(CatalogResponse),
-}
-
-impl Outcome {
-    /// This outcome's kind discriminator.
-    pub fn kind(&self) -> QueryKind {
-        match self {
-            Outcome::Evaluate(_) => QueryKind::Evaluate,
-            Outcome::Batch(_) => QueryKind::Batch,
-            Outcome::Compare(_) => QueryKind::Compare,
-            Outcome::Crossover(_) => QueryKind::Crossover,
-            Outcome::Frontier(_) => QueryKind::Frontier,
-            Outcome::Sweep(_) => QueryKind::Sweep,
-            Outcome::Grid(_) => QueryKind::Grid,
-            Outcome::Tornado(_) => QueryKind::Tornado,
-            Outcome::MonteCarlo(_) => QueryKind::MonteCarlo,
-            Outcome::Industry(_) => QueryKind::Industry,
-            Outcome::Scenario(_) => QueryKind::Scenario,
-            Outcome::Replay(_) => QueryKind::Replay,
-            Outcome::Optimize(_) => QueryKind::Optimize,
-            Outcome::Catalog(_) => QueryKind::Catalog,
-        }
-    }
-
-    /// The bare result payload — exactly the body the matching
-    /// `POST /v1/<kind>` route answers with.
-    pub fn result_json(&self) -> Value {
-        match self {
-            Outcome::Evaluate(response) => response.to_json(),
-            Outcome::Batch(response) => response.to_json(),
-            Outcome::Compare(response) => response.to_json(),
-            Outcome::Crossover(response) => response.to_json(),
-            Outcome::Frontier(response) => response.to_json(),
-            Outcome::Sweep(series) => series.to_json(),
-            Outcome::Grid(grid) => grid.to_json(),
-            Outcome::Tornado(analysis) => analysis.to_json(),
-            Outcome::MonteCarlo(response) => response.to_json(),
-            Outcome::Industry(response) => response.to_json(),
-            Outcome::Scenario(response) => response.to_json(),
-            Outcome::Replay(response) => response.to_json(),
-            Outcome::Optimize(response) => response.to_json(),
-            Outcome::Catalog(response) => response.to_json(),
-        }
-    }
-}
-
 impl ToJson for Outcome {
     fn to_json(&self) -> Value {
         object([
@@ -3108,10 +2176,9 @@ impl FromJson for Outcome {
     fn from_json(value: &Value) -> Result<Outcome, JsonError> {
         let kind = decode_envelope(value)?;
         kind.decode_result(field(value, "result")?)
-            .map_err(|e| prefix_schema("result", e))
+            .map_err(|e| e.at_member("result"))
     }
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -3202,6 +2269,49 @@ mod tests {
             BatchEvalRequest::from_json(&parse(r#"{"domain": "dnn", "points": 7}"#).unwrap())
                 .unwrap_err();
         assert!(bad_points.to_string().contains("points"));
+    }
+
+    #[test]
+    fn none_members_are_kept_as_null_or_omitted_by_their_record() {
+        let catalog = |point| ScenarioRunRequest {
+            scenario: ScenarioRef::Catalog {
+                id: "dnn_baseline".to_string(),
+                knobs: Vec::new(),
+            },
+            point,
+        };
+        let omitted = catalog(None).to_json().to_json_string().unwrap();
+        assert_eq!(omitted, r#"{"id":"dnn_baseline","knobs":{}}"#);
+        let kept = catalog(Some(OperatingPoint::paper_default()))
+            .to_json()
+            .to_json_string()
+            .unwrap();
+        assert!(kept.contains(r#""point":{"applications":5"#), "{kept}");
+        let null_point = parse(r#"{"id":"dnn_baseline","point":null}"#).unwrap();
+        assert_eq!(
+            ScenarioRunRequest::from_json(&null_point).unwrap(),
+            catalog(None)
+        );
+
+        let response = CrossoverResponse {
+            domain: Domain::Crypto,
+            base: OperatingPoint::paper_default(),
+            applications: None,
+            lifetime: None,
+            volume: None,
+        };
+        let text = response.to_json().to_json_string().unwrap();
+        assert!(
+            text.ends_with(r#""applications":null,"lifetime":null,"volume":null}"#),
+            "{text}"
+        );
+        let absent = parse(r#"{"domain":"crypto","point":{}}"#).unwrap();
+        assert_eq!(CrossoverResponse::from_json(&absent).unwrap(), response);
+        let wrong = parse(r#"{"domain":"crypto","point":{},"applications":"many"}"#).unwrap();
+        assert!(CrossoverResponse::from_json(&wrong)
+            .unwrap_err()
+            .to_string()
+            .contains("at applications:"));
     }
 
     #[test]

@@ -15,10 +15,7 @@ pub enum PlatformKind {
 
 impl fmt::Display for PlatformKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            PlatformKind::Fpga => f.write_str("FPGA"),
-            PlatformKind::Asic => f.write_str("ASIC"),
-        }
+        f.write_str(self.wire_id())
     }
 }
 
@@ -35,10 +32,7 @@ pub enum CrossoverDirection {
 
 impl fmt::Display for CrossoverDirection {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            CrossoverDirection::AsicToFpga => f.write_str("A2F"),
-            CrossoverDirection::FpgaToAsic => f.write_str("F2A"),
-        }
+        f.write_str(self.wire_id())
     }
 }
 

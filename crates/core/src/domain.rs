@@ -45,24 +45,13 @@ impl Domain {
     /// The domain's stable machine-readable identifier, used in API
     /// requests, `--json` CLI output and the CLI's `--domain` option.
     pub fn id(self) -> &'static str {
-        match self {
-            Domain::Dnn => "dnn",
-            Domain::ImageProcessing => "imgproc",
-            Domain::Crypto => "crypto",
-        }
+        self.wire_id()
     }
 
     /// Resolves a machine-readable identifier (or common alias) back to its
     /// domain.
     pub fn parse_id(id: &str) -> Option<Domain> {
-        match id.to_ascii_lowercase().as_str() {
-            "dnn" => Some(Domain::Dnn),
-            "imgproc" | "image" | "imageprocessing" | "image_processing" => {
-                Some(Domain::ImageProcessing)
-            }
-            "crypto" | "cryptography" => Some(Domain::Crypto),
-            _ => None,
-        }
+        Domain::from_wire_id(&id.to_ascii_lowercase())
     }
 
     /// Iso-performance ratios from Table 2 of the paper.

@@ -191,10 +191,7 @@ pub enum SolverKind {
 
 impl std::fmt::Display for SolverKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            SolverKind::Analytic => "analytic",
-            SolverKind::Search => "search",
-        })
+        f.write_str(self.wire_id())
     }
 }
 

@@ -116,6 +116,19 @@ impl Value {
         }
     }
 
+    /// Decodes the object member `key` through [`FromJson::from_member`]:
+    /// an absent member is a "missing required field" error unless the
+    /// type gives absence a meaning (`Option<T>` reads it as `None`).
+    /// Schema errors report the member's path ([`JsonError::at_member`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`JsonError::Schema`] when the member is missing or does not
+    /// decode.
+    pub fn member<T: FromJson>(&self, key: &str) -> Result<T, JsonError> {
+        T::from_member(self.get(key)).map_err(|e| e.at_member(key))
+    }
+
     /// The string content, or `None` for other variants.
     pub fn as_str(&self) -> Option<&str> {
         match self {
@@ -268,6 +281,28 @@ impl JsonError {
             message: message.into(),
         }
     }
+
+    /// Re-roots a schema error raised while decoding the object member
+    /// `key`, so `"lifetime_years"` inside `"point"` reports as
+    /// `point.lifetime_years`. An error with no path of its own (empty, a
+    /// primitive decoder's `number`/`string`/`bool`/`array`, or the key
+    /// itself) reports at `key`. Other errors pass through unchanged.
+    pub fn at_member(self, key: &str) -> JsonError {
+        match self {
+            JsonError::Schema { at, message } => JsonError::Schema {
+                at: if at.is_empty()
+                    || at == key
+                    || matches!(at.as_str(), "number" | "string" | "bool" | "array")
+                {
+                    key.to_string()
+                } else {
+                    format!("{key}.{at}")
+                },
+                message,
+            },
+            other => other,
+        }
+    }
 }
 
 impl fmt::Display for JsonError {
@@ -306,6 +341,21 @@ pub trait FromJson: Sized {
     ///
     /// Returns [`JsonError::Schema`] when the value does not match.
     fn from_json(value: &Value) -> Result<Self, JsonError>;
+
+    /// Decodes an object member that may be absent (`None`). Absence is a
+    /// "missing required field" error by default; `Option<T>` overrides it
+    /// to decode as `None`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`JsonError::Schema`] when the member is absent or does not
+    /// match.
+    fn from_member(member: Option<&Value>) -> Result<Self, JsonError> {
+        match member {
+            Some(value) => Self::from_json(value),
+            None => Err(JsonError::schema("", "missing required field")),
+        }
+    }
 }
 
 impl ToJson for f64 {
@@ -333,6 +383,20 @@ impl FromJson for u64 {
         value
             .as_u64()
             .ok_or_else(|| JsonError::schema("number", "expected a non-negative integer ≤ 2^53"))
+    }
+}
+
+impl ToJson for usize {
+    fn to_json(&self) -> Value {
+        Value::Number(*self as f64)
+    }
+}
+
+impl FromJson for usize {
+    fn from_json(value: &Value) -> Result<usize, JsonError> {
+        u64::from_json(value).and_then(|n| {
+            usize::try_from(n).map_err(|_| JsonError::schema("number", "integer out of range"))
+        })
     }
 }
 
@@ -379,6 +443,28 @@ impl<T: FromJson> FromJson for Vec<T> {
             .iter()
             .map(T::from_json)
             .collect()
+    }
+}
+
+/// `None` encodes as `null`; a record that leaves the member out when it
+/// is `None` decides that itself.
+impl<T: ToJson> ToJson for Option<T> {
+    fn to_json(&self) -> Value {
+        self.as_ref().map_or(Value::Null, ToJson::to_json)
+    }
+}
+
+/// `null` — or, as an object member, absence — decodes as `None`.
+impl<T: FromJson> FromJson for Option<T> {
+    fn from_json(value: &Value) -> Result<Option<T>, JsonError> {
+        match value {
+            Value::Null => Ok(None),
+            value => T::from_json(value).map(Some),
+        }
+    }
+
+    fn from_member(member: Option<&Value>) -> Result<Option<T>, JsonError> {
+        member.map_or(Ok(None), Option::<T>::from_json)
     }
 }
 
@@ -442,6 +528,63 @@ mod tests {
         assert!(f64::from_json(&Value::Null).is_err());
         assert!(u64::from_json(&Value::Number(0.5)).is_err());
         assert!(Vec::<f64>::from_json(&Value::Bool(true)).is_err());
+    }
+
+    #[test]
+    fn option_members_decode_absent_and_null_as_none() {
+        let doc = parse(r#"{"id": null, "n": 4, "s": "x"}"#).unwrap();
+        assert_eq!(doc.member::<Option<String>>("missing").unwrap(), None);
+        assert_eq!(doc.member::<Option<String>>("id").unwrap(), None);
+        assert_eq!(doc.member::<Option<u64>>("n").unwrap(), Some(4));
+        assert_eq!(Option::<f64>::from_json(&Value::Null).unwrap(), None);
+        assert_eq!(
+            Option::<f64>::from_json(&Value::Number(1.5)).unwrap(),
+            Some(1.5)
+        );
+        // A required member stays required; an optional one of the wrong
+        // type is a schema error at the member's key.
+        assert_eq!(
+            doc.member::<String>("missing").unwrap_err(),
+            JsonError::schema("missing", "missing required field")
+        );
+        assert_eq!(
+            doc.member::<Option<u64>>("s").unwrap_err(),
+            JsonError::schema("s", "expected a non-negative integer ≤ 2^53")
+        );
+        assert_eq!(
+            doc.member::<Option<bool>>("n").unwrap_err(),
+            JsonError::schema("n", "expected true or false")
+        );
+    }
+
+    #[test]
+    fn option_encodes_none_as_null() {
+        assert_eq!(None::<f64>.to_json(), Value::Null);
+        assert_eq!(Some("x".to_string()).to_json(), Value::from("x"));
+        let members = object([("id", None::<String>.to_json())]);
+        assert_eq!(members.to_json_string().unwrap(), r#"{"id":null}"#);
+    }
+
+    #[test]
+    fn member_errors_nest_under_the_key() {
+        let nested = JsonError::schema("volume", "expected an integer").at_member("point");
+        assert_eq!(
+            nested,
+            JsonError::schema("point.volume", "expected an integer")
+        );
+        for leaf in ["", "number", "string", "bool", "array", "point"] {
+            assert_eq!(
+                JsonError::schema(leaf, "m").at_member("point"),
+                JsonError::schema("point", "m")
+            );
+        }
+        assert_eq!(
+            JsonError::NonFinite.at_member("point"),
+            JsonError::NonFinite
+        );
+        assert_eq!(usize::from_json(&Value::Number(24.0)).unwrap(), 24);
+        assert_eq!(24usize.to_json(), Value::Number(24.0));
+        assert!(usize::from_json(&Value::Number(-1.0)).is_err());
     }
 
     #[test]

@@ -36,10 +36,10 @@ use std::path::PathBuf;
 use gf_json::{parse, FromJson, ToJson};
 use gf_support::SplitMix64;
 use greenfpga::api::{
-    BatchEvalRequest, CatalogRequest, CompareRequest, CrossoverRequest, EvaluateRequest,
-    FrontierRequest, GridRequest, IndustryRequest, MonteCarloRequest, OptimizeRequest, Outcome,
-    Query, QueryKind, ReplayRequest, ScenarioRef, ScenarioRunRequest, ScenarioSpec, SeriesRef,
-    SweepRequest, TornadoRequest,
+    grid_stream_head, grid_stream_rows, grid_stream_tail, BatchEvalRequest, CatalogRequest,
+    CompareRequest, CrossoverRequest, EvaluateRequest, FrontierRequest, GridRequest,
+    IndustryRequest, MonteCarloRequest, OptimizeRequest, Outcome, Query, QueryKind, ReplayRequest,
+    ScenarioRef, ScenarioRunRequest, ScenarioSpec, SeriesRef, SweepRequest, TornadoRequest,
 };
 use greenfpga::{
     catalog, ApiError, CarbonIntensitySeries, Constraint, Domain, Engine, Knob, Objective,
@@ -1034,6 +1034,41 @@ fn engine_results_match_the_frozen_bytes() {
 #[test]
 fn malformed_bodies_answer_the_frozen_errors() {
     assert_frozen(&["body", "error"]);
+}
+
+/// A streamed grid — head, each block's rows, tail — splices to exactly
+/// the frozen buffered body, whatever the block height.
+#[test]
+fn streamed_grids_splice_to_the_frozen_buffered_bytes() {
+    let engine = engine();
+    let mut request = None;
+    let mut checked = 0;
+    for (name, tag, json) in load(QueryKind::Grid) {
+        match tag.as_str() {
+            "request" => {
+                let value = parse(&json).expect("frozen request parses");
+                request = Some(GridRequest::from_json(&value).expect("frozen request decodes"));
+            }
+            "result" => {
+                let request = request.take().expect("a result follows its request");
+                for block_rows in [1, 3] {
+                    let mut stream = engine
+                        .grid_stream(&request)
+                        .expect("grid streams")
+                        .with_block_rows(block_rows);
+                    let mut body = grid_stream_head(&stream).expect("head encodes");
+                    while let Some(block) = stream.next_block() {
+                        body.push_str(&grid_stream_rows(&block.expect("block")).expect("rows"));
+                    }
+                    body.push_str(&grid_stream_tail(&stream).expect("tail encodes"));
+                    assert_eq!(body, json, "grid {name}, {block_rows} rows per block");
+                }
+                checked += 1;
+            }
+            _ => {}
+        }
+    }
+    assert!(checked >= 5, "only {checked} grid entries streamed");
 }
 
 /// Every kind has a corpus file with typed, sparse and malformed cases,
