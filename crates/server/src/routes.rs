@@ -236,10 +236,7 @@ pub(crate) fn stream_grid_blocks(
     };
     while let Some(block) = stream.next_block() {
         // Head already on the wire: truncation is the only signal left.
-        let Ok(fragment) = block
-            .map_err(|_| ())
-            .and_then(|block| grid_stream_rows(&block).map_err(|_| ()))
-        else {
+        let Some(fragment) = block.ok().and_then(|block| grid_stream_rows(&block).ok()) else {
             wake(StreamEvent::Abort);
             return;
         };
