@@ -66,20 +66,6 @@ fn typed(name: impl Into<String>, query: Query) -> Case {
     }
 }
 
-fn body(name: &str, text: &str) -> Case {
-    Case {
-        name: format!("body/{name}"),
-        input: Input::Body(text.to_string()),
-    }
-}
-
-fn bad(name: &str, text: &str) -> Case {
-    Case {
-        name: format!("bad/{name}"),
-        input: Input::Bad(text.to_string()),
-    }
-}
-
 /// One line of a corpus file: `(case name, tag, JSON text)`.
 type Line = (String, String, String);
 
@@ -157,6 +143,118 @@ fn lattice_axes(rng: &mut SplitMix64) -> (SweepAxis, (f64, f64), SweepAxis, (f64
 // Cases per kind
 // ---------------------------------------------------------------------------
 
+/// Hand-written bodies, one per line: `<kinds> <tag> <name> <body>`, where
+/// `body` marks a valid sparse body and `bad` a malformed one. They follow
+/// each kind's typed cases, in this order.
+const HAND_WRITTEN: &str = r#"
+evaluate body domain-only {"domain":"dnn"}
+evaluate body alias-domain {"domain":"Image"}
+evaluate body partial-point {"domain":"crypto","point":{"applications":3}}
+evaluate body null-members {"domain":"imgproc","knobs":null,"point":null}
+evaluate body explicit-defaults {"domain":"dnn","knobs":{},"point":{"applications":5,"lifetime_years":2,"volume":1000000}}
+evaluate bad missing-domain {}
+evaluate bad not-an-object []
+evaluate bad syntax {"domain":
+evaluate bad unknown-domain {"domain":"gpu"}
+evaluate bad domain-not-string {"domain":7}
+evaluate bad unknown-knob {"domain":"dnn","knobs":{"warp":1}}
+evaluate bad knob-not-number {"domain":"dnn","knobs":{"duty_cycle":"x"}}
+evaluate bad knob-twice {"domain":"dnn","knobs":{"duty_cycle":0.1,"duty_cycle":0.2}}
+evaluate bad knobs-not-object {"domain":"dnn","knobs":[1]}
+evaluate bad point-not-object {"domain":"dnn","point":7}
+evaluate bad negative-volume {"domain":"dnn","point":{"volume":-3}}
+evaluate bad fractional-apps {"domain":"dnn","point":{"applications":2.5}}
+evaluate bad lifetime-not-number {"domain":"dnn","point":{"lifetime_years":"long"}}
+evaluate bad zero-applications {"domain":"dnn","point":{"applications":0}}
+batch body default-points {"domain":"dnn","points":[{},{"volume":5000}]}
+batch bad missing-points {"domain":"dnn"}
+batch bad points-not-array {"domain":"dnn","points":7}
+batch bad bad-point {"domain":"dnn","points":[{},{"lifetime_years":"x"}]}
+compare body default-point {"scenarios":[{"domain":"dnn"},{"domain":"crypto","knobs":{"duty_cycle":0.2}}]}
+compare bad missing-scenarios {}
+compare bad no-scenarios {"scenarios":[]}
+compare bad too-many-scenarios {"scenarios":[{"domain":"dnn"},{"domain":"dnn"},{"domain":"dnn"},{"domain":"dnn"},{"domain":"dnn"},{"domain":"dnn"},{"domain":"dnn"},{"domain":"dnn"},{"domain":"dnn"},{"domain":"dnn"},{"domain":"dnn"},{"domain":"dnn"},{"domain":"dnn"},{"domain":"dnn"},{"domain":"dnn"},{"domain":"dnn"},{"domain":"dnn"}]}
+compare bad unknown-domain {"scenarios":[{"domain":"dnn"},{"domain":"tpu"}]}
+crossover body domain-only {"domain":"imgproc"}
+crossover body explicit-ranges {"domain":"dnn","max_applications":8,"lifetime_range":[0.5,2.5],"volume_range":[10,1000]}
+crossover bad short-lifetime-range {"domain":"dnn","lifetime_range":[1]}
+crossover bad lifetime-range-strings {"domain":"dnn","lifetime_range":["a","b"]}
+crossover bad fractional-volume-range {"domain":"dnn","volume_range":[1.5,2]}
+crossover bad volume-range-not-array {"domain":"dnn","volume_range":5}
+crossover bad negative-max-applications {"domain":"dnn","max_applications":-1}
+frontier,grid body domain-only {"domain":"dnn"}
+frontier,grid body small-lattice {"domain":"crypto","steps":3,"x_axis":"volume","x_from":1000,"x_to":100000,"y_axis":"applications"}
+frontier,grid body null-geometry {"domain":"imgproc","steps":4,"x_axis":null,"y_to":null}
+grid body stream-false {"domain":"dnn","steps":2,"stream":false}
+grid bad stream-not-bool {"domain":"dnn","steps":2,"stream":1}
+frontier,grid bad steps-one {"domain":"dnn","steps":1}
+frontier,grid bad steps-huge {"domain":"dnn","steps":4096}
+frontier,grid bad steps-fractional {"domain":"dnn","steps":2.5}
+frontier,grid bad same-axes {"domain":"dnn","y_axis":"apps"}
+frontier,grid bad inverted-x {"domain":"dnn","x_from":5,"x_to":2}
+frontier,grid bad inverted-y {"domain":"dnn","y_from":3,"y_to":1}
+frontier,grid bad bogus-x-axis {"domain":"dnn","x_axis":"bogus"}
+frontier,grid bad bogus-y-axis {"domain":"dnn","y_axis":"bogus"}
+frontier,grid bad x-axis-not-string {"domain":"dnn","x_axis":3}
+frontier,grid bad missing-domain {"steps":3}
+sweep body default-steps {"domain":"dnn","axis":"apps","from":1,"to":12}
+sweep body axis-alias {"domain":"crypto","axis":"Applications","from":1,"to":4,"steps":4}
+sweep bad missing-axis {"domain":"dnn","from":1,"to":2}
+sweep bad missing-from {"domain":"dnn","axis":"apps","to":2}
+sweep bad bogus-axis {"domain":"dnn","axis":"watts","from":1,"to":2}
+sweep bad inverted-range {"domain":"dnn","axis":"apps","from":5,"to":2}
+sweep bad steps-one {"domain":"dnn","axis":"apps","from":1,"to":2,"steps":1}
+sweep bad steps-huge {"domain":"dnn","axis":"apps","from":1,"to":2,"steps":100001}
+tornado body domain-only {"domain":"crypto"}
+tornado bad missing-domain {"point":{}}
+montecarlo body domain-only {"domain":"crypto"}
+montecarlo body explicit-seed {"domain":"dnn","samples":32,"seed":7}
+montecarlo bad zero-samples {"domain":"dnn","samples":0}
+montecarlo bad too-many-samples {"domain":"dnn","samples":2097152}
+montecarlo bad negative-seed {"domain":"dnn","samples":8,"seed":-1}
+montecarlo bad seed-too-large {"domain":"dnn","samples":8,"seed":9007199254740992}
+industry body empty {}
+industry body volume-only {"volume":250000}
+industry bad not-an-object [1]
+industry bad zero-years {"service_years":0}
+industry bad zero-applications {"fpga_applications":0}
+industry bad zero-volume {"volume":0}
+industry bad unknown-knob {"knobs":{"warp":1}}
+scenario body null-point {"id":"dnn_baseline","point":null}
+scenario body null-id {"id":null,"domain":"crypto"}
+scenario bad unknown-id {"id":"atlantis"}
+scenario bad id-not-string {"id":7}
+scenario bad missing-domain {}
+scenario bad bad-catalog-knob {"id":"dnn_baseline","knobs":{"warp":2}}
+replay body id-only {"id":"crypto_baseline"}
+replay body null-members {"domain":"dnn","series":null,"years":null,"interpolate":null}
+replay body inline-default-step {"domain":"imgproc","series":{"points":[300,500,100]}}
+replay bad series-not-valid {"domain":"dnn","series":7}
+replay bad series-empty {"domain":"dnn","series":{"points":[]}}
+replay bad series-missing-points {"domain":"dnn","series":{"step_hours":2}}
+replay bad unknown-region {"domain":"dnn","series":"mars"}
+replay bad years-beyond-lifetime {"domain":"dnn","point":{"lifetime_years":1.5},"years":4}
+replay bad zero-years {"domain":"dnn","years":0}
+replay bad interpolate-not-bool {"domain":"dnn","interpolate":"yes"}
+optimize body minimal {"domain":"dnn","objective":{"goal":"min_ratio"},"search":[{"axis":"apps","min":1,"max":12}]}
+optimize body null-optionals {"id":"dnn_baseline","objective":{"goal":"min_total","platform":null},"search":[{"axis":"lifetime","min":0.5,"max":3,"integer":null}],"constraints":null,"tolerance":null,"max_evals":null,"point":null}
+optimize body explicit-defaults {"domain":"crypto","objective":{"goal":"budget","platform":"fpga","budget_kg":5e8},"search":[{"axis":"volume","min":1000,"max":1000000,"integer":false}],"constraints":[],"tolerance":1e-6,"max_evals":10000}
+optimize bad missing-objective {"domain":"dnn","search":[{"axis":"apps","min":1,"max":12}]}
+optimize bad missing-search {"domain":"dnn","objective":{"goal":"min_ratio"}}
+optimize bad unknown-goal {"domain":"dnn","objective":{"goal":"max_fun"},"search":[{"axis":"apps","min":1,"max":12}]}
+optimize bad goal-not-string {"domain":"dnn","objective":{"goal":1},"search":[{"axis":"apps","min":1,"max":12}]}
+optimize bad budget-without-kg {"domain":"dnn","objective":{"goal":"budget"},"search":[{"axis":"apps","min":1,"max":12}]}
+optimize bad bogus-platform {"domain":"dnn","objective":{"goal":"min_total","platform":"gpu"},"search":[{"axis":"apps","min":1,"max":12}]}
+optimize bad bogus-search-axis {"domain":"dnn","objective":{"goal":"min_ratio"},"search":[{"axis":"watts","min":1,"max":12}]}
+optimize bad search-missing-max {"domain":"dnn","objective":{"goal":"min_ratio"},"search":[{"axis":"apps","min":1}]}
+optimize bad unknown-constraint {"domain":"dnn","objective":{"goal":"min_ratio"},"search":[{"axis":"apps","min":1,"max":12}],"constraints":[{"kind":"cheap"}]}
+optimize bad constraint-without-limit {"domain":"dnn","objective":{"goal":"min_ratio"},"search":[{"axis":"apps","min":1,"max":12}],"constraints":[{"kind":"max_total_kg"}]}
+optimize bad max-evals-fractional {"domain":"dnn","objective":{"goal":"min_ratio"},"search":[{"axis":"apps","min":1,"max":12}],"max_evals":1.5}
+optimize bad infeasible {"domain":"dnn","objective":{"goal":"min_ratio"},"search":[{"axis":"apps","min":1,"max":12}],"constraints":[{"kind":"max_total_kg","limit_kg":1}]}
+catalog body extra-members {"ignored":true}
+catalog bad not-an-object 7
+"#;
+
 fn cases(kind: QueryKind) -> Vec<Case> {
     let mut rng = SplitMix64::new(seed_for(kind));
     let rng = &mut rng;
@@ -181,55 +279,6 @@ fn cases(kind: QueryKind) -> Vec<Case> {
                     }),
                 ));
             }
-            out.push(body("domain-only", r#"{"domain":"dnn"}"#));
-            out.push(body("alias-domain", r#"{"domain":"Image"}"#));
-            out.push(body(
-                "partial-point",
-                r#"{"domain":"crypto","point":{"applications":3}}"#,
-            ));
-            out.push(body(
-                "null-members",
-                r#"{"domain":"imgproc","knobs":null,"point":null}"#,
-            ));
-            out.push(body(
-                "explicit-defaults",
-                r#"{"domain":"dnn","knobs":{},"point":{"applications":5,"lifetime_years":2,"volume":1000000}}"#,
-            ));
-            out.push(bad("missing-domain", r#"{}"#));
-            out.push(bad("not-an-object", r#"[]"#));
-            out.push(bad("syntax", r#"{"domain":"#));
-            out.push(bad("unknown-domain", r#"{"domain":"gpu"}"#));
-            out.push(bad("domain-not-string", r#"{"domain":7}"#));
-            out.push(bad(
-                "unknown-knob",
-                r#"{"domain":"dnn","knobs":{"warp":1}}"#,
-            ));
-            out.push(bad(
-                "knob-not-number",
-                r#"{"domain":"dnn","knobs":{"duty_cycle":"x"}}"#,
-            ));
-            out.push(bad(
-                "knob-twice",
-                r#"{"domain":"dnn","knobs":{"duty_cycle":0.1,"duty_cycle":0.2}}"#,
-            ));
-            out.push(bad("knobs-not-object", r#"{"domain":"dnn","knobs":[1]}"#));
-            out.push(bad("point-not-object", r#"{"domain":"dnn","point":7}"#));
-            out.push(bad(
-                "negative-volume",
-                r#"{"domain":"dnn","point":{"volume":-3}}"#,
-            ));
-            out.push(bad(
-                "fractional-apps",
-                r#"{"domain":"dnn","point":{"applications":2.5}}"#,
-            ));
-            out.push(bad(
-                "lifetime-not-number",
-                r#"{"domain":"dnn","point":{"lifetime_years":"long"}}"#,
-            ));
-            out.push(bad(
-                "zero-applications",
-                r#"{"domain":"dnn","point":{"applications":0}}"#,
-            ));
         }
         QueryKind::Batch => {
             for (i, n) in [1usize, 3, 5].into_iter().enumerate() {
@@ -247,16 +296,6 @@ fn cases(kind: QueryKind) -> Vec<Case> {
                     scenario: ScenarioSpec::baseline(Domain::Dnn),
                     points: Vec::new(),
                 }),
-            ));
-            out.push(body(
-                "default-points",
-                r#"{"domain":"dnn","points":[{},{"volume":5000}]}"#,
-            ));
-            out.push(bad("missing-points", r#"{"domain":"dnn"}"#));
-            out.push(bad("points-not-array", r#"{"domain":"dnn","points":7}"#));
-            out.push(bad(
-                "bad-point",
-                r#"{"domain":"dnn","points":[{},{"lifetime_years":"x"}]}"#,
             ));
         }
         QueryKind::Compare => {
@@ -277,21 +316,6 @@ fn cases(kind: QueryKind) -> Vec<Case> {
                     }),
                 ));
             }
-            out.push(body(
-                "default-point",
-                r#"{"scenarios":[{"domain":"dnn"},{"domain":"crypto","knobs":{"duty_cycle":0.2}}]}"#,
-            ));
-            out.push(bad("missing-scenarios", r#"{}"#));
-            out.push(bad("no-scenarios", r#"{"scenarios":[]}"#));
-            let many = vec![r#"{"domain":"dnn"}"#; 17].join(",");
-            out.push(bad(
-                "too-many-scenarios",
-                &format!(r#"{{"scenarios":[{many}]}}"#),
-            ));
-            out.push(bad(
-                "unknown-domain",
-                r#"{"scenarios":[{"domain":"dnn"},{"domain":"tpu"}]}"#,
-            ));
         }
         QueryKind::Crossover => {
             for domain in DOMAINS {
@@ -315,31 +339,6 @@ fn cases(kind: QueryKind) -> Vec<Case> {
                     }),
                 ));
             }
-            out.push(body("domain-only", r#"{"domain":"imgproc"}"#));
-            out.push(body(
-                "explicit-ranges",
-                r#"{"domain":"dnn","max_applications":8,"lifetime_range":[0.5,2.5],"volume_range":[10,1000]}"#,
-            ));
-            out.push(bad(
-                "short-lifetime-range",
-                r#"{"domain":"dnn","lifetime_range":[1]}"#,
-            ));
-            out.push(bad(
-                "lifetime-range-strings",
-                r#"{"domain":"dnn","lifetime_range":["a","b"]}"#,
-            ));
-            out.push(bad(
-                "fractional-volume-range",
-                r#"{"domain":"dnn","volume_range":[1.5,2]}"#,
-            ));
-            out.push(bad(
-                "volume-range-not-array",
-                r#"{"domain":"dnn","volume_range":5}"#,
-            ));
-            out.push(bad(
-                "negative-max-applications",
-                r#"{"domain":"dnn","max_applications":-1}"#,
-            ));
         }
         QueryKind::Frontier | QueryKind::Grid => {
             for i in 0..4 {
@@ -371,35 +370,6 @@ fn cases(kind: QueryKind) -> Vec<Case> {
                 };
                 out.push(typed(format!("seeded/{i}"), query));
             }
-            out.push(body("domain-only", r#"{"domain":"dnn"}"#));
-            out.push(body(
-                "small-lattice",
-                r#"{"domain":"crypto","steps":3,"x_axis":"volume","x_from":1000,"x_to":100000,"y_axis":"applications"}"#,
-            ));
-            out.push(body(
-                "null-geometry",
-                r#"{"domain":"imgproc","steps":4,"x_axis":null,"y_to":null}"#,
-            ));
-            if kind == QueryKind::Grid {
-                out.push(body(
-                    "stream-false",
-                    r#"{"domain":"dnn","steps":2,"stream":false}"#,
-                ));
-                out.push(bad(
-                    "stream-not-bool",
-                    r#"{"domain":"dnn","steps":2,"stream":1}"#,
-                ));
-            }
-            out.push(bad("steps-one", r#"{"domain":"dnn","steps":1}"#));
-            out.push(bad("steps-huge", r#"{"domain":"dnn","steps":4096}"#));
-            out.push(bad("steps-fractional", r#"{"domain":"dnn","steps":2.5}"#));
-            out.push(bad("same-axes", r#"{"domain":"dnn","y_axis":"apps"}"#));
-            out.push(bad("inverted-x", r#"{"domain":"dnn","x_from":5,"x_to":2}"#));
-            out.push(bad("inverted-y", r#"{"domain":"dnn","y_from":3,"y_to":1}"#));
-            out.push(bad("bogus-x-axis", r#"{"domain":"dnn","x_axis":"bogus"}"#));
-            out.push(bad("bogus-y-axis", r#"{"domain":"dnn","y_axis":"bogus"}"#));
-            out.push(bad("x-axis-not-string", r#"{"domain":"dnn","x_axis":3}"#));
-            out.push(bad("missing-domain", r#"{"steps":3}"#));
         }
         QueryKind::Sweep => {
             for i in 0..5 {
@@ -420,35 +390,6 @@ fn cases(kind: QueryKind) -> Vec<Case> {
                     }),
                 ));
             }
-            out.push(body(
-                "default-steps",
-                r#"{"domain":"dnn","axis":"apps","from":1,"to":12}"#,
-            ));
-            out.push(body(
-                "axis-alias",
-                r#"{"domain":"crypto","axis":"Applications","from":1,"to":4,"steps":4}"#,
-            ));
-            out.push(bad("missing-axis", r#"{"domain":"dnn","from":1,"to":2}"#));
-            out.push(bad(
-                "missing-from",
-                r#"{"domain":"dnn","axis":"apps","to":2}"#,
-            ));
-            out.push(bad(
-                "bogus-axis",
-                r#"{"domain":"dnn","axis":"watts","from":1,"to":2}"#,
-            ));
-            out.push(bad(
-                "inverted-range",
-                r#"{"domain":"dnn","axis":"apps","from":5,"to":2}"#,
-            ));
-            out.push(bad(
-                "steps-one",
-                r#"{"domain":"dnn","axis":"apps","from":1,"to":2,"steps":1}"#,
-            ));
-            out.push(bad(
-                "steps-huge",
-                r#"{"domain":"dnn","axis":"apps","from":1,"to":2,"steps":100001}"#,
-            ));
         }
         QueryKind::Tornado => {
             for domain in DOMAINS {
@@ -469,8 +410,6 @@ fn cases(kind: QueryKind) -> Vec<Case> {
                     }),
                 ));
             }
-            out.push(body("domain-only", r#"{"domain":"crypto"}"#));
-            out.push(bad("missing-domain", r#"{"point":{}}"#));
         }
         QueryKind::MonteCarlo => {
             for i in 0..3 {
@@ -491,24 +430,6 @@ fn cases(kind: QueryKind) -> Vec<Case> {
                     OperatingPoint::paper_default(),
                 )),
             ));
-            out.push(body("domain-only", r#"{"domain":"crypto"}"#));
-            out.push(body(
-                "explicit-seed",
-                r#"{"domain":"dnn","samples":32,"seed":7}"#,
-            ));
-            out.push(bad("zero-samples", r#"{"domain":"dnn","samples":0}"#));
-            out.push(bad(
-                "too-many-samples",
-                r#"{"domain":"dnn","samples":2097152}"#,
-            ));
-            out.push(bad(
-                "negative-seed",
-                r#"{"domain":"dnn","samples":8,"seed":-1}"#,
-            ));
-            out.push(bad(
-                "seed-too-large",
-                r#"{"domain":"dnn","samples":8,"seed":9007199254740992}"#,
-            ));
         }
         QueryKind::Industry => {
             out.push(typed(
@@ -526,13 +447,6 @@ fn cases(kind: QueryKind) -> Vec<Case> {
                     }),
                 ));
             }
-            out.push(body("empty", r#"{}"#));
-            out.push(body("volume-only", r#"{"volume":250000}"#));
-            out.push(bad("not-an-object", r#"[1]"#));
-            out.push(bad("zero-years", r#"{"service_years":0}"#));
-            out.push(bad("zero-applications", r#"{"fpga_applications":0}"#));
-            out.push(bad("zero-volume", r#"{"volume":0}"#));
-            out.push(bad("unknown-knob", r#"{"knobs":{"warp":1}}"#));
         }
         QueryKind::Scenario => {
             for entry in catalog() {
@@ -571,15 +485,6 @@ fn cases(kind: QueryKind) -> Vec<Case> {
                     }),
                 ));
             }
-            out.push(body("null-point", r#"{"id":"dnn_baseline","point":null}"#));
-            out.push(body("null-id", r#"{"id":null,"domain":"crypto"}"#));
-            out.push(bad("unknown-id", r#"{"id":"atlantis"}"#));
-            out.push(bad("id-not-string", r#"{"id":7}"#));
-            out.push(bad("missing-domain", r#"{}"#));
-            out.push(bad(
-                "bad-catalog-knob",
-                r#"{"id":"dnn_baseline","knobs":{"warp":2}}"#,
-            ));
         }
         QueryKind::Replay => {
             for entry in catalog() {
@@ -624,34 +529,6 @@ fn cases(kind: QueryKind) -> Vec<Case> {
                     interpolate: true,
                     years: 1,
                 }),
-            ));
-            out.push(body("id-only", r#"{"id":"crypto_baseline"}"#));
-            out.push(body(
-                "null-members",
-                r#"{"domain":"dnn","series":null,"years":null,"interpolate":null}"#,
-            ));
-            out.push(body(
-                "inline-default-step",
-                r#"{"domain":"imgproc","series":{"points":[300,500,100]}}"#,
-            ));
-            out.push(bad("series-not-valid", r#"{"domain":"dnn","series":7}"#));
-            out.push(bad(
-                "series-empty",
-                r#"{"domain":"dnn","series":{"points":[]}}"#,
-            ));
-            out.push(bad(
-                "series-missing-points",
-                r#"{"domain":"dnn","series":{"step_hours":2}}"#,
-            ));
-            out.push(bad("unknown-region", r#"{"domain":"dnn","series":"mars"}"#));
-            out.push(bad(
-                "years-beyond-lifetime",
-                r#"{"domain":"dnn","point":{"lifetime_years":1.5},"years":4}"#,
-            ));
-            out.push(bad("zero-years", r#"{"domain":"dnn","years":0}"#));
-            out.push(bad(
-                "interpolate-not-bool",
-                r#"{"domain":"dnn","interpolate":"yes"}"#,
             ));
         }
         QueryKind::Optimize => {
@@ -753,71 +630,24 @@ fn cases(kind: QueryKind) -> Vec<Case> {
                     }),
                 ));
             }
-            out.push(body(
-                "minimal",
-                r#"{"domain":"dnn","objective":{"goal":"min_ratio"},"search":[{"axis":"apps","min":1,"max":12}]}"#,
-            ));
-            out.push(body(
-                "null-optionals",
-                r#"{"id":"dnn_baseline","objective":{"goal":"min_total","platform":null},"search":[{"axis":"lifetime","min":0.5,"max":3,"integer":null}],"constraints":null,"tolerance":null,"max_evals":null,"point":null}"#,
-            ));
-            out.push(body(
-                "explicit-defaults",
-                r#"{"domain":"crypto","objective":{"goal":"budget","platform":"fpga","budget_kg":5e8},"search":[{"axis":"volume","min":1000,"max":1000000,"integer":false}],"constraints":[],"tolerance":1e-6,"max_evals":10000}"#,
-            ));
-            out.push(bad(
-                "missing-objective",
-                r#"{"domain":"dnn","search":[{"axis":"apps","min":1,"max":12}]}"#,
-            ));
-            out.push(bad(
-                "missing-search",
-                r#"{"domain":"dnn","objective":{"goal":"min_ratio"}}"#,
-            ));
-            out.push(bad(
-                "unknown-goal",
-                r#"{"domain":"dnn","objective":{"goal":"max_fun"},"search":[{"axis":"apps","min":1,"max":12}]}"#,
-            ));
-            out.push(bad(
-                "goal-not-string",
-                r#"{"domain":"dnn","objective":{"goal":1},"search":[{"axis":"apps","min":1,"max":12}]}"#,
-            ));
-            out.push(bad(
-                "budget-without-kg",
-                r#"{"domain":"dnn","objective":{"goal":"budget"},"search":[{"axis":"apps","min":1,"max":12}]}"#,
-            ));
-            out.push(bad(
-                "bogus-platform",
-                r#"{"domain":"dnn","objective":{"goal":"min_total","platform":"gpu"},"search":[{"axis":"apps","min":1,"max":12}]}"#,
-            ));
-            out.push(bad(
-                "bogus-search-axis",
-                r#"{"domain":"dnn","objective":{"goal":"min_ratio"},"search":[{"axis":"watts","min":1,"max":12}]}"#,
-            ));
-            out.push(bad(
-                "search-missing-max",
-                r#"{"domain":"dnn","objective":{"goal":"min_ratio"},"search":[{"axis":"apps","min":1}]}"#,
-            ));
-            out.push(bad(
-                "unknown-constraint",
-                r#"{"domain":"dnn","objective":{"goal":"min_ratio"},"search":[{"axis":"apps","min":1,"max":12}],"constraints":[{"kind":"cheap"}]}"#,
-            ));
-            out.push(bad(
-                "constraint-without-limit",
-                r#"{"domain":"dnn","objective":{"goal":"min_ratio"},"search":[{"axis":"apps","min":1,"max":12}],"constraints":[{"kind":"max_total_kg"}]}"#,
-            ));
-            out.push(bad(
-                "max-evals-fractional",
-                r#"{"domain":"dnn","objective":{"goal":"min_ratio"},"search":[{"axis":"apps","min":1,"max":12}],"max_evals":1.5}"#,
-            ));
-            out.push(bad(
-                "infeasible",
-                r#"{"domain":"dnn","objective":{"goal":"min_ratio"},"search":[{"axis":"apps","min":1,"max":12}],"constraints":[{"kind":"max_total_kg","limit_kg":1}]}"#,
-            ));
         }
         QueryKind::Catalog => {
             out.push(typed("listing", Query::Catalog(CatalogRequest)));
-            out.push(body("extra-members", r#"{"ignored":true}"#));
-            out.push(bad("not-an-object", r#"7"#));
+        }
+    }
+    for line in HAND_WRITTEN.lines().filter(|line| !line.is_empty()) {
+        let mut fields = line.splitn(4, ' ');
+        let mut next = || fields.next().expect("kinds, tag, name and body");
+        let (kinds, tag, name, text) = (next(), next(), next(), next().to_string());
+        if kinds.split(',').any(|id| id == kind.id()) {
+            out.push(Case {
+                name: format!("{tag}/{name}"),
+                input: if tag == "body" {
+                    Input::Body(text)
+                } else {
+                    Input::Bad(text)
+                },
+            });
         }
     }
     out
