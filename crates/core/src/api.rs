@@ -29,24 +29,39 @@
 //!
 //! ## One declaration per wire type
 //!
-//! Each record's members are listed once, in wire order, in a
-//! `wire_record!` declaration that generates both its encoder and its
-//! decoder. A member line names the wire key, the field and its rule:
+//! Each record is declared once, in a `wire_record!` block that generates
+//! both its encoder and its decoder. A request or response struct is
+//! declared there together with its members, in wire order; each member
+//! line names the wire key, the rule, the field and its type:
 //!
-//! * `"key": req field` — always written; decoding fails when it is absent
-//!   (an `Option` field reads absence and `null` as `None`);
-//! * `"key": or field = default` — always written; absent or `null` decodes
-//!   to the default;
-//! * `"key": omit field = default` — like `or`, but left out of the
+//! ```text
+//! wire_record! {
+//!     /// `POST /v1/evaluate`: one operating point in one scenario.
+//!     #[derive(Debug, Clone, PartialEq)]
+//!     pub struct EvaluateRequest {
+//!         /// The scenario to evaluate in.
+//!         "..": flat scenario: ScenarioSpec,
+//!         /// The operating point.
+//!         "point": or point: OperatingPoint = OperatingPoint::paper_default(),
+//!     }
+//! }
+//! ```
+//!
+//! * `"key": req field: T` — always written; decoding fails when it is
+//!   absent (an `Option` field reads absence and `null` as `None`);
+//! * `"key": or field: T = default` — always written; absent or `null`
+//!   decodes to the default;
+//! * `"key": omit field: T = default` — like `or`, but left out of the
 //!   encoding while it equals the default;
-//! * `("lo", "hi"): rule field` — a tuple field spread over two members;
-//! * `"key" => method` — derived: written from `self.method()`, ignored on
-//!   decode;
-//! * `Record(..field)` — the field's own members spliced in first (the
-//!   flat scenario members of every request);
-//! * `as Codec` after a field or method — a member type with no
-//!   `ToJson`/`FromJson` of its own (kilograms, knob maps, ranges).
+//! * `"lo" "hi": rule field: (T, T)` — a pair spread over two members;
+//! * `"..": flat field: T` — the field's own members spliced in (the flat
+//!   scenario members of every request);
+//! * `as Codec` after the type — a member type with no `ToJson`/`FromJson`
+//!   of its own (kilograms, knob maps, `[low, high]` ranges).
 //!
+//! Types declared in other modules get an `impl Type { ... }` block with
+//! the same member lines minus the types, plus derived members written
+//! from a method and ignored on decode (`"ratio" => fpga_to_asic_ratio`).
 //! A record may name a `check` that validates the decoded value. The six
 //! string enums are declared by `wire_enum!`, and the query kinds by the
 //! `query_kinds!` table at the end of the module: one row per kind gives
@@ -260,16 +275,12 @@ fn member_or<T, C: Codec<T>>(value: &Value, key: &str, fallback: T) -> Result<T,
     }
 }
 
-/// The members a record encoding starts from: the spliced members of its
-/// flattened field, if it has one, with room for `own` more.
-fn record_members<const N: usize>(flattened: [Value; N], own: usize) -> Vec<(String, Value)> {
-    let mut members = match flattened.into_iter().next() {
-        Some(Value::Object(members)) => members,
-        Some(_) => unreachable!("flattened members encode to objects"),
-        None => Vec::new(),
-    };
-    members.reserve(own);
-    members
+/// Appends the members of a flattened field's object encoding.
+fn splice(members: &mut Vec<(String, Value)>, flattened: Value) {
+    match flattened {
+        Value::Object(spliced) => members.extend(spliced),
+        _ => unreachable!("flattened members encode to objects"),
+    }
 }
 
 /// `true` when an `omit` member differs from its default and is written.
@@ -330,6 +341,12 @@ macro_rules! wire_codec {
 
 /// Encodes or decodes one stored member by its rule (see the module docs).
 macro_rules! wire_member {
+    ($op:ident $target:ident, $rule:ident ($key:literal), $($rest:tt)*) => {
+        wire_member!($op $target, $rule $key, $($rest)*)
+    };
+    (encode $members:ident, flat $key:tt, $v:expr, $c:ty) => {
+        splice(&mut $members, $v.to_json())
+    };
     (encode $members:ident, $rule:ident ($lo:literal, $hi:literal), $v:expr, $c:ty $(, $d:expr)?) => {
         wire_member!(encode $members, $rule $lo, $v.0, $c $(, ($d).0)?);
         wire_member!(encode $members, $rule $hi, $v.1, $c $(, ($d).1)?);
@@ -341,6 +358,9 @@ macro_rules! wire_member {
     };
     (encode $members:ident, $rule:ident $key:literal, $v:expr, $c:ty $(, $d:expr)?) => {
         $members.push(($key.to_string(), <$c as Codec<_>>::encode(&$v)))
+    };
+    (decode $value:ident, flat $key:tt, $c:ty) => {
+        FromJson::from_json($value)
     };
     (decode $value:ident, $rule:ident ($lo:literal, $hi:literal), $c:ty $(, $d:expr)?) => {
         wire_member!(decode $value, $rule $lo, $c $(, ($d).0)?)
@@ -354,23 +374,47 @@ macro_rules! wire_member {
     };
 }
 
-/// Declares the wire members of one or more records once and generates
-/// their `ToJson` and `FromJson` impls (grammar in the module docs).
+/// Declares records and their wire members once (grammar in the module
+/// docs). The `pub struct` form declares the struct itself, each field
+/// with its type; the `impl` form adds the wire members of a type declared
+/// elsewhere and may list derived members. Both generate `ToJson` and
+/// `FromJson`; the struct form forwards to the `impl` form.
 macro_rules! wire_record {
     ($(
-        $name:ident $((..$flat:ident))? $(check $check:path)? {
+        $(#[$meta:meta])*
+        pub struct $name:ident $(check $check:path)? {
+            $(
+                $(#[$doc:meta])*
+                $key:literal $($key2:literal)?
+                    : $rule:ident $field:ident : $ty:ty $(as $codec:ident)? $(= $default:expr)?
+            ),* $(,)?
+        }
+    )+) => {$(
+        $(#[$meta])*
+        pub struct $name {
+            $( $(#[$doc])* pub $field: $ty, )*
+        }
+
+        wire_record! {
+            impl $name $(check $check)? {
+                $( ($key $(, $key2)?): $rule $field $(as $codec)? $(= $default)? ),*
+            }
+        }
+    )+};
+    ($(
+        impl $name:ident $(check $check:path)? {
             $(
                 $keys:tt
                 $( : $rule:ident $field:ident $(as $codec:ident)? $(= $default:expr)? )?
                 $( => $($derived:ident).+ $(as $dcodec:ident)? )?
             ),* $(,)?
         }
-    )*) => {$(
+    )+) => {$(
         impl ToJson for $name {
             fn to_json(&self) -> Value {
                 let own: &[&str] = &[$(stringify!($keys)),*];
-                #[allow(unused_mut)] // a record of spliced members only pushes none
-                let mut members = record_members([$(self.$flat.to_json())?], own.len());
+                #[allow(unused_mut)] // a record with no members pushes none
+                let mut members = Vec::with_capacity(own.len() + 1);
                 $(
                     $( wire_member!(
                         encode members, $rule $keys, self.$field, wire_codec!($($codec)?)
@@ -387,17 +431,16 @@ macro_rules! wire_record {
 
         impl FromJson for $name {
             fn from_json(value: &Value) -> Result<$name, JsonError> {
-                $( let $flat = FromJson::from_json(value)?; )?
                 $($(
                     let $field =
                         wire_member!(decode value, $rule $keys, wire_codec!($($codec)?) $(, $default)?)?;
                 )?)*
-                let record = $name { $($flat,)? $($($field,)?)* };
+                let record = $name { $($($field,)?)* };
                 $( $check(&record, value)?; )?
                 Ok(record)
             }
         }
-    )*};
+    )+};
 }
 
 /// Declares string enums once: each variant's canonical wire id and its
@@ -477,16 +520,16 @@ impl FromJson for Knob {
 // ---------------------------------------------------------------------------
 
 wire_record! {
-    Crossover {
+    impl Crossover {
         "at": req at,
         "direction": req direction,
     }
-    OperatingPoint check point_is_object {
+    impl OperatingPoint check point_is_object {
         "applications": or applications = OperatingPoint::paper_default().applications,
         "lifetime_years": or lifetime_years = OperatingPoint::paper_default().lifetime_years,
         "volume": or volume = OperatingPoint::paper_default().volume,
     }
-    CfpBreakdown {
+    impl CfpBreakdown {
         "design_kg": req design as Kg,
         "manufacturing_kg": req manufacturing as Kg,
         "packaging_kg": req packaging as Kg,
@@ -495,26 +538,26 @@ wire_record! {
         "app_dev_kg": req app_dev as Kg,
         "total_kg" => total as Kg,
     }
-    PlatformComparison {
+    impl PlatformComparison {
         "domain": req domain,
         "fpga": req fpga,
         "asic": req asic,
         "ratio" => fpga_to_asic_ratio,
         "winner" => winner,
     }
-    SweepPoint {
+    impl SweepPoint {
         "x": req x,
         "fpga": req fpga,
         "asic": req asic,
         "ratio" => ratio,
     }
-    SweepSeries {
+    impl SweepSeries {
         "domain": req domain,
         "axis": req axis,
         "points": req points,
         "crossovers" => crossovers,
     }
-    SensitivityEntry {
+    impl SensitivityEntry {
         "knob": req knob,
         "ratio_at_low": req ratio_at_low,
         "ratio_at_high": req ratio_at_high,
@@ -522,12 +565,12 @@ wire_record! {
         "swing" => swing,
         "flips_winner" => flips_winner,
     }
-    TornadoAnalysis {
+    impl TornadoAnalysis {
         "domain": req domain,
         "point": req point,
         "entries": req entries,
     }
-    GridSweep check grid_is_rectangular {
+    impl GridSweep check grid_is_rectangular {
         "domain": req domain,
         "x_axis": req x_axis,
         "x_values": req x_values,
@@ -536,14 +579,14 @@ wire_record! {
         "ratios": req ratios,
         "fpga_winning_fraction" => fpga_winning_fraction,
     }
-    Verdict {
+    impl Verdict {
         "mean_excess": req mean_excess,
         "worst_excess": req worst_excess,
         "loss_fraction": req loss_fraction,
         "embodied_share": req embodied_share,
         "score": req score,
     }
-    ReplayOutcome {
+    impl ReplayOutcome {
         "steps": req steps,
         "fpga_operational_kg": req fpga_operational as Kg,
         "asic_operational_kg": req asic_operational as Kg,
@@ -555,13 +598,13 @@ wire_record! {
         "fpga_win_fraction": req fpga_win_fraction,
         "verdict": req verdict,
     }
-    SearchKnob {
+    impl SearchKnob {
         "axis": req axis,
         "min": req min,
         "max": req max,
         "integer": omit integer = false,
     }
-    CertificateProbe {
+    impl CertificateProbe {
         "axis": req axis,
         "at": req at,
         "objective": req objective,
@@ -651,16 +694,18 @@ pub fn grid_stream_tail(stream: &GridStream) -> Result<String, JsonError> {
 // Scenarios, replay and optimization
 // ---------------------------------------------------------------------------
 
-/// A scenario addressed by a request: a domain template plus Table 1 knob
-/// overrides. Two requests with the same spec compile to the same
-/// [`crate::CompiledScenario`] — the key the server's scenario cache uses.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ScenarioSpec {
-    /// The application domain.
-    pub domain: Domain,
-    /// Knob overrides applied on top of
-    /// [`EstimatorParams::paper_defaults`], in application order.
-    pub knobs: Vec<(Knob, f64)>,
+wire_record! {
+    /// A scenario addressed by a request: a domain template plus Table 1 knob
+    /// overrides. Two requests with the same spec compile to the same
+    /// [`crate::CompiledScenario`] — the key the server's scenario cache uses.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct ScenarioSpec {
+        /// The application domain.
+        "domain": req domain: Domain,
+        /// Knob overrides applied on top of
+        /// [`EstimatorParams::paper_defaults`], in application order.
+        "knobs": or knobs: Vec<(Knob, f64)> as KnobMap = Vec::new(),
+    }
 }
 
 impl ScenarioSpec {
@@ -681,13 +726,6 @@ impl ScenarioSpec {
             knob.apply_mut(&mut params, value);
         }
         params
-    }
-}
-
-wire_record! {
-    ScenarioSpec {
-        "domain": req domain,
-        "knobs": or knobs as KnobMap = Vec::new(),
     }
 }
 
@@ -755,40 +793,30 @@ impl FromJson for ScenarioRef {
     }
 }
 
-/// `POST /v1/scenario`: one catalog or inline scenario, evaluated and
-/// scored.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ScenarioRunRequest {
-    /// The scenario to run.
-    pub scenario: ScenarioRef,
-    /// Optional operating-point override; absent means the catalog
-    /// entry's point (or [`OperatingPoint::paper_default`] for inline
-    /// specs).
-    pub point: Option<OperatingPoint>,
-}
-
-/// `POST /v1/scenario` response: the comparison plus its scored verdict.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ScenarioRunResponse {
-    /// The resolved catalog id (`None` for inline specs).
-    pub id: Option<String>,
-    /// The point the scenario was evaluated at.
-    pub point: OperatingPoint,
-    /// The comparison the engine produced.
-    pub comparison: PlatformComparison,
-    /// The scored verdict over the outcome.
-    pub verdict: Verdict,
-}
-
 wire_record! {
-    ScenarioRunRequest(..scenario) {
-        "point": omit point = None,
+    /// `POST /v1/scenario`: one catalog or inline scenario, evaluated and
+    /// scored.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct ScenarioRunRequest {
+        /// The scenario to run.
+        "..": flat scenario: ScenarioRef,
+        /// Optional operating-point override; absent means the catalog
+        /// entry's point (or [`OperatingPoint::paper_default`] for inline
+        /// specs).
+        "point": omit point: Option<OperatingPoint> = None,
     }
-    ScenarioRunResponse {
-        "id": req id,
-        "point": req point,
-        "comparison": req comparison,
-        "verdict": req verdict,
+
+    /// `POST /v1/scenario` response: the comparison plus its scored verdict.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct ScenarioRunResponse {
+        /// The resolved catalog id (`None` for inline specs).
+        "id": req id: Option<String>,
+        /// The point the scenario was evaluated at.
+        "point": req point: OperatingPoint,
+        /// The comparison the engine produced.
+        "comparison": req comparison: PlatformComparison,
+        /// The scored verdict over the outcome.
+        "verdict": req verdict: Verdict,
     }
 }
 
@@ -836,24 +864,26 @@ impl FromJson for SeriesRef {
     }
 }
 
-/// `POST /v1/replay`: a scenario replayed step by step against a
-/// time-varying grid carbon intensity.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ReplayRequest {
-    /// The scenario to replay.
-    pub scenario: ScenarioRef,
-    /// Optional operating-point override (same defaulting as
-    /// [`ScenarioRunRequest::point`]).
-    pub point: Option<OperatingPoint>,
-    /// The intensity series to replay against (defaults to the
-    /// `global_flat` region preset).
-    pub series: SeriesRef,
-    /// Whether step lookup interpolates between bounding samples.
-    pub interpolate: bool,
-    /// How many times the series plays end-to-end in the replay
-    /// ([`CarbonIntensitySeries::replay_years`]); must not exceed the
-    /// device lifetime in whole years. Omitted from the wire when 1.
-    pub years: u64,
+wire_record! {
+    /// `POST /v1/replay`: a scenario replayed step by step against a
+    /// time-varying grid carbon intensity.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct ReplayRequest {
+        /// The scenario to replay.
+        "..": flat scenario: ScenarioRef,
+        /// Optional operating-point override (same defaulting as
+        /// [`ScenarioRunRequest::point`]).
+        "point": omit point: Option<OperatingPoint> = None,
+        /// The intensity series to replay against (defaults to the
+        /// `global_flat` region preset).
+        "series": or series: SeriesRef = SeriesRef::Region(Self::DEFAULT_REGION.to_string()),
+        /// Whether step lookup interpolates between bounding samples.
+        "interpolate": or interpolate: bool = false,
+        /// How many times the series plays end-to-end in the replay
+        /// ([`CarbonIntensitySeries::replay_years`]); must not exceed the
+        /// device lifetime in whole years. Omitted from the wire when 1.
+        "years": omit years: u64 = 1,
+    }
 }
 
 impl ReplayRequest {
@@ -861,32 +891,19 @@ impl ReplayRequest {
     pub const DEFAULT_REGION: &'static str = "global_flat";
 }
 
-/// `POST /v1/replay` response: the replay summary and scored verdict.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ReplayResponse {
-    /// The resolved catalog id (`None` for inline specs).
-    pub id: Option<String>,
-    /// The replayed domain.
-    pub domain: Domain,
-    /// The point the scenario was replayed at.
-    pub point: OperatingPoint,
-    /// The replay summary (cumulative totals, trajectory statistics,
-    /// verdict).
-    pub replay: ReplayOutcome,
-}
-
 wire_record! {
-    ReplayRequest(..scenario) {
-        "point": omit point = None,
-        "series": or series = SeriesRef::Region(Self::DEFAULT_REGION.to_string()),
-        "interpolate": or interpolate = false,
-        "years": omit years = 1,
-    }
-    ReplayResponse {
-        "id": req id,
-        "domain": req domain,
-        "point": req point,
-        "replay": req replay,
+    /// `POST /v1/replay` response: the replay summary and scored verdict.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct ReplayResponse {
+        /// The resolved catalog id (`None` for inline specs).
+        "id": req id: Option<String>,
+        /// The replayed domain.
+        "domain": req domain: Domain,
+        /// The point the scenario was replayed at.
+        "point": req point: OperatingPoint,
+        /// The replay summary (cumulative totals, trajectory statistics,
+        /// verdict).
+        "replay": req replay: ReplayOutcome,
     }
 }
 
@@ -985,27 +1002,29 @@ impl FromJson for Constraint {
     }
 }
 
-/// `POST /v1/optimize`: an inverse query — minimize an objective (or fill
-/// a carbon budget) over a box of 1–3 search knobs.
-#[derive(Debug, Clone, PartialEq)]
-pub struct OptimizeRequest {
-    /// The scenario to optimize over.
-    pub scenario: ScenarioRef,
-    /// Optional operating-point override supplying the non-searched axes
-    /// (same defaulting as [`ScenarioRunRequest::point`]).
-    pub point: Option<OperatingPoint>,
-    /// What to minimize or satisfy.
-    pub objective: Objective,
-    /// The searched axes and their bounds (the `"search"` wire member).
-    pub search: Vec<SearchKnob>,
-    /// Feasibility constraints (omitted from the wire when empty).
-    pub constraints: Vec<Constraint>,
-    /// Relative solve tolerance for the search tier (omitted when
-    /// [`OptimizeRequest::DEFAULT_TOLERANCE`]).
-    pub tolerance: f64,
-    /// Kernel-evaluation budget for the search tier (omitted when
-    /// [`OptimizeRequest::DEFAULT_MAX_EVALS`]).
-    pub max_evals: u64,
+wire_record! {
+    /// `POST /v1/optimize`: an inverse query — minimize an objective (or fill
+    /// a carbon budget) over a box of 1–3 search knobs.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct OptimizeRequest {
+        /// The scenario to optimize over.
+        "..": flat scenario: ScenarioRef,
+        /// Optional operating-point override supplying the non-searched axes
+        /// (same defaulting as [`ScenarioRunRequest::point`]).
+        "point": omit point: Option<OperatingPoint> = None,
+        /// What to minimize or satisfy.
+        "objective": req objective: Objective,
+        /// The searched axes and their bounds (the `"search"` wire member).
+        "search": req search: Vec<SearchKnob>,
+        /// Feasibility constraints (omitted from the wire when empty).
+        "constraints": omit constraints: Vec<Constraint> = Vec::new(),
+        /// Relative solve tolerance for the search tier (omitted when
+        /// [`OptimizeRequest::DEFAULT_TOLERANCE`]).
+        "tolerance": omit tolerance: f64 = Self::DEFAULT_TOLERANCE,
+        /// Kernel-evaluation budget for the search tier (omitted when
+        /// [`OptimizeRequest::DEFAULT_MAX_EVALS`]).
+        "max_evals": omit max_evals: u64 = Self::DEFAULT_MAX_EVALS,
+    }
 }
 
 impl OptimizeRequest {
@@ -1015,49 +1034,29 @@ impl OptimizeRequest {
     pub const DEFAULT_MAX_EVALS: u64 = 10_000;
 }
 
-/// `POST /v1/optimize` response: the argmin, its verdict, and the solve's
-/// evidence trail.
-#[derive(Debug, Clone, PartialEq)]
-pub struct OptimizeResponse {
-    /// The resolved catalog id (`None` for inline specs).
-    pub id: Option<String>,
-    /// The optimized domain.
-    pub domain: Domain,
-    /// The full operating point at the optimum.
-    pub point: OperatingPoint,
-    /// The argmin values of the searched knobs, in request order.
-    pub argmin: Vec<(SweepAxis, f64)>,
-    /// The achieved objective scalar (kernel-evaluated at the argmin).
-    pub objective: f64,
-    /// The scored verdict at the optimum.
-    pub verdict: Verdict,
-    /// Kernel evaluations spent (including certificate probes).
-    pub evaluations: u64,
-    /// Which solver tier answered.
-    pub solver: SolverKind,
-    /// Per-knob one-sided local-optimality probes.
-    pub certificate: Vec<CertificateProbe>,
-}
-
 wire_record! {
-    OptimizeRequest(..scenario) {
-        "point": omit point = None,
-        "objective": req objective,
-        "search": req search,
-        "constraints": omit constraints = Vec::new(),
-        "tolerance": omit tolerance = Self::DEFAULT_TOLERANCE,
-        "max_evals": omit max_evals = Self::DEFAULT_MAX_EVALS,
-    }
-    OptimizeResponse {
-        "id": req id,
-        "domain": req domain,
-        "point": req point,
-        "argmin": req argmin as AxisMap,
-        "objective": req objective,
-        "verdict": req verdict,
-        "evaluations": req evaluations,
-        "solver": req solver,
-        "certificate": req certificate,
+    /// `POST /v1/optimize` response: the argmin, its verdict, and the solve's
+    /// evidence trail.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct OptimizeResponse {
+        /// The resolved catalog id (`None` for inline specs).
+        "id": req id: Option<String>,
+        /// The optimized domain.
+        "domain": req domain: Domain,
+        /// The full operating point at the optimum.
+        "point": req point: OperatingPoint,
+        /// The argmin values of the searched knobs, in request order.
+        "argmin": req argmin: Vec<(SweepAxis, f64)> as AxisMap,
+        /// The achieved objective scalar (kernel-evaluated at the argmin).
+        "objective": req objective: f64,
+        /// The scored verdict at the optimum.
+        "verdict": req verdict: Verdict,
+        /// Kernel evaluations spent (including certificate probes).
+        "evaluations": req evaluations: u64,
+        /// Which solver tier answered.
+        "solver": req solver: SolverKind,
+        /// Per-knob one-sided local-optimality probes.
+        "certificate": req certificate: Vec<CertificateProbe>,
     }
 }
 
@@ -1067,21 +1066,23 @@ wire_record! {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CatalogRequest;
 
-/// One catalog entry as listed on the wire — [`CatalogEntry`] with owned
-/// strings so responses decode without referencing the process's static
-/// catalog.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CatalogEntryInfo {
-    /// Stable wire id.
-    pub id: String,
-    /// One-line human title.
-    pub title: String,
-    /// What the scenario stresses.
-    pub description: String,
-    /// The concrete scenario the id resolves to.
-    pub scenario: ScenarioSpec,
-    /// The operating point the scenario defaults to.
-    pub point: OperatingPoint,
+wire_record! {
+    /// One catalog entry as listed on the wire — [`CatalogEntry`] with owned
+    /// strings so responses decode without referencing the process's static
+    /// catalog.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct CatalogEntryInfo {
+        /// The concrete scenario the id resolves to.
+        "..": flat scenario: ScenarioSpec,
+        /// Stable wire id.
+        "id": req id: String,
+        /// One-line human title.
+        "title": req title: String,
+        /// What the scenario stresses.
+        "description": req description: String,
+        /// The operating point the scenario defaults to.
+        "point": req point: OperatingPoint,
+    }
 }
 
 impl From<&CatalogEntry> for CatalogEntryInfo {
@@ -1096,24 +1097,17 @@ impl From<&CatalogEntry> for CatalogEntryInfo {
     }
 }
 
-/// `GET /v1/catalog` response: every named scenario, in catalog order.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CatalogResponse {
-    /// The catalog entries.
-    pub entries: Vec<CatalogEntryInfo>,
+wire_record! {
+    /// `GET /v1/catalog` response: every named scenario, in catalog order.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct CatalogResponse {
+        /// The catalog entries.
+        "entries": req entries: Vec<CatalogEntryInfo>,
+    }
 }
 
 wire_record! {
-    CatalogRequest check catalog_is_object {}
-    CatalogEntryInfo(..scenario) {
-        "id": req id,
-        "title": req title,
-        "description": req description,
-        "point": req point,
-    }
-    CatalogResponse {
-        "entries": req entries,
-    }
+    impl CatalogRequest check catalog_is_object {}
 }
 
 fn catalog_is_object(_: &CatalogRequest, value: &Value) -> Result<(), JsonError> {
@@ -1124,30 +1118,32 @@ fn catalog_is_object(_: &CatalogRequest, value: &Value) -> Result<(), JsonError>
 // Evaluation, sweeps and lattices
 // ---------------------------------------------------------------------------
 
-/// `POST /v1/evaluate`: one operating point in one scenario.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EvaluateRequest {
-    /// The scenario to evaluate in.
-    pub scenario: ScenarioSpec,
-    /// The operating point (defaults to [`OperatingPoint::paper_default`]).
-    pub point: OperatingPoint,
-}
+wire_record! {
+    /// `POST /v1/evaluate`: one operating point in one scenario.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct EvaluateRequest {
+        /// The scenario to evaluate in.
+        "..": flat scenario: ScenarioSpec,
+        /// The operating point (defaults to [`OperatingPoint::paper_default`]).
+        "point": or point: OperatingPoint = OperatingPoint::paper_default(),
+    }
 
-/// `POST /v1/evaluate` response: the full comparison at the point.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EvaluateResponse {
-    /// The comparison the engine produced.
-    pub comparison: PlatformComparison,
-}
+    /// `POST /v1/evaluate` response: the full comparison at the point.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct EvaluateResponse {
+        /// The comparison the engine produced.
+        "..": flat comparison: PlatformComparison,
+    }
 
-/// `POST /v1/batch`: many operating points in one scenario, evaluated
-/// through the zero-allocation SoA kernel.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BatchEvalRequest {
-    /// The scenario every point is evaluated in.
-    pub scenario: ScenarioSpec,
-    /// The operating points, evaluated in order.
-    pub points: Vec<OperatingPoint>,
+    /// `POST /v1/batch`: many operating points in one scenario, evaluated
+    /// through the zero-allocation SoA kernel.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct BatchEvalRequest {
+        /// The scenario every point is evaluated in.
+        "..": flat scenario: ScenarioSpec,
+        /// The operating points, evaluated in order.
+        "points": req points: Vec<OperatingPoint>,
+    }
 }
 
 /// `POST /v1/batch` response: one comparison per requested point, in
@@ -1159,34 +1155,28 @@ pub struct BatchEvalResponse {
 }
 
 wire_record! {
-    EvaluateRequest(..scenario) {
-        "point": or point = OperatingPoint::paper_default(),
-    }
-    EvaluateResponse(..comparison) {
-    }
-    BatchEvalRequest(..scenario) {
-        "points": req points,
-    }
-    BatchEvalResponse {
+    impl BatchEvalResponse {
         "count" => comparisons.len,
         "results": req comparisons,
     }
 }
 
-/// `POST /v1/crossover`: the three crossover searches of the paper's
-/// Figs. 4–6 around a base operating point.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CrossoverRequest {
-    /// The scenario to search in.
-    pub scenario: ScenarioSpec,
-    /// The base operating point supplying the held parameters.
-    pub base: OperatingPoint,
-    /// Upper bound of the application-count search (Fig. 4).
-    pub max_applications: u64,
-    /// Lifetime search range in years (Fig. 5).
-    pub lifetime_range: (f64, f64),
-    /// Volume search range in devices (Fig. 6).
-    pub volume_range: (u64, u64),
+wire_record! {
+    /// `POST /v1/crossover`: the three crossover searches of the paper's
+    /// Figs. 4–6 around a base operating point.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct CrossoverRequest {
+        /// The scenario to search in.
+        "..": flat scenario: ScenarioSpec,
+        /// The base operating point supplying the held parameters.
+        "point": or base: OperatingPoint = OperatingPoint::paper_default(),
+        /// Upper bound of the application-count search (Fig. 4).
+        "max_applications": or max_applications: u64 = Self::DEFAULT_MAX_APPLICATIONS,
+        /// Lifetime search range in years (Fig. 5).
+        "lifetime_range": or lifetime_range: (f64, f64) as Range = Self::DEFAULT_LIFETIME_RANGE,
+        /// Volume search range in devices (Fig. 6).
+        "volume_range": or volume_range: (u64, u64) as Range = Self::DEFAULT_VOLUME_RANGE,
+    }
 }
 
 impl CrossoverRequest {
@@ -1207,35 +1197,21 @@ impl CrossoverRequest {
     }
 }
 
-/// `POST /v1/crossover` response: one entry per searched axis; `None`
-/// where the preferred platform never flips inside the window.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CrossoverResponse {
-    /// The domain searched.
-    pub domain: Domain,
-    /// The base operating point the held parameters came from.
-    pub base: OperatingPoint,
-    /// Smallest winning application count (Fig. 4), if any.
-    pub applications: Option<u64>,
-    /// Lifetime crossover (Fig. 5), if any.
-    pub lifetime: Option<Crossover>,
-    /// Volume crossover (Fig. 6), if any.
-    pub volume: Option<Crossover>,
-}
-
 wire_record! {
-    CrossoverRequest(..scenario) {
-        "point": or base = OperatingPoint::paper_default(),
-        "max_applications": or max_applications = Self::DEFAULT_MAX_APPLICATIONS,
-        "lifetime_range": or lifetime_range as Range = Self::DEFAULT_LIFETIME_RANGE,
-        "volume_range": or volume_range as Range = Self::DEFAULT_VOLUME_RANGE,
-    }
-    CrossoverResponse {
-        "domain": req domain,
-        "point": req base,
-        "applications": req applications,
-        "lifetime": req lifetime,
-        "volume": req volume,
+    /// `POST /v1/crossover` response: one entry per searched axis; `None`
+    /// where the preferred platform never flips inside the window.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct CrossoverResponse {
+        /// The domain searched.
+        "domain": req domain: Domain,
+        /// The base operating point the held parameters came from.
+        "point": req base: OperatingPoint,
+        /// Smallest winning application count (Fig. 4), if any.
+        "applications": req applications: Option<u64>,
+        /// Lifetime crossover (Fig. 5), if any.
+        "lifetime": req lifetime: Option<Crossover>,
+        /// Volume crossover (Fig. 6), if any.
+        "volume": req volume: Option<Crossover>,
     }
 }
 
@@ -1281,23 +1257,25 @@ fn check_lattice(
     Ok(())
 }
 
-/// `POST /v1/frontier`: an adaptive winner map over a 2-D lattice.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FrontierRequest {
-    /// The scenario to trace in.
-    pub scenario: ScenarioSpec,
-    /// The base operating point supplying the held parameter.
-    pub base: OperatingPoint,
-    /// Axis swept along the columns.
-    pub x_axis: SweepAxis,
-    /// Column range (inclusive on both ends).
-    pub x_range: (f64, f64),
-    /// Axis swept along the rows.
-    pub y_axis: SweepAxis,
-    /// Row range (inclusive on both ends).
-    pub y_range: (f64, f64),
-    /// Lattice resolution per axis.
-    pub steps: usize,
+wire_record! {
+    /// `POST /v1/frontier`: an adaptive winner map over a 2-D lattice.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct FrontierRequest check frontier_lattice {
+        /// The scenario to trace in.
+        "..": flat scenario: ScenarioSpec,
+        /// The base operating point supplying the held parameter.
+        "point": or base: OperatingPoint = OperatingPoint::paper_default(),
+        /// Axis swept along the columns.
+        "x_axis": or x_axis: SweepAxis = LATTICE_X_AXIS,
+        /// Column range (inclusive on both ends).
+        "x_from" "x_to": or x_range: (f64, f64) = LATTICE_X_RANGE,
+        /// Axis swept along the rows.
+        "y_axis": or y_axis: SweepAxis = LATTICE_Y_AXIS,
+        /// Row range (inclusive on both ends).
+        "y_from" "y_to": or y_range: (f64, f64) = LATTICE_Y_RANGE,
+        /// Lattice resolution per axis.
+        "steps": or steps: usize = LATTICE_STEPS,
+    }
 }
 
 impl FrontierRequest {
@@ -1312,33 +1290,35 @@ impl FrontierRequest {
     }
 }
 
-/// `POST /v1/grid`: a dense FPGA:ASIC ratio heatmap over a 2-D lattice
-/// (the paper's Fig. 8), every cell evaluated through the SoA batch
-/// kernel. Same geometry and defaults as [`FrontierRequest`]; use the
-/// frontier when only the winner of each cell matters.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GridRequest {
-    /// The scenario to evaluate in.
-    pub scenario: ScenarioSpec,
-    /// The base operating point supplying the held parameter.
-    pub base: OperatingPoint,
-    /// Axis swept along the columns.
-    pub x_axis: SweepAxis,
-    /// Column range (inclusive on both ends).
-    pub x_range: (f64, f64),
-    /// Axis swept along the rows.
-    pub y_axis: SweepAxis,
-    /// Row range (inclusive on both ends).
-    pub y_range: (f64, f64),
-    /// Lattice resolution per axis.
-    pub steps: usize,
-    /// When `true`, a serving transport delivers the grid as streamed
-    /// row-blocks (HTTP chunked transfer-encoding) instead of one buffered
-    /// body. The decoded payload is byte-identical either way; this only
-    /// bounds transport memory. Defaults to `false` and is omitted from
-    /// the encoding when `false`, so buffered requests round-trip to the
-    /// pre-streaming wire form.
-    pub stream: bool,
+wire_record! {
+    /// `POST /v1/grid`: a dense FPGA:ASIC ratio heatmap over a 2-D lattice
+    /// (the paper's Fig. 8), every cell evaluated through the SoA batch
+    /// kernel. Same geometry and defaults as [`FrontierRequest`]; use the
+    /// frontier when only the winner of each cell matters.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct GridRequest check grid_lattice {
+        /// The scenario to evaluate in.
+        "..": flat scenario: ScenarioSpec,
+        /// The base operating point supplying the held parameter.
+        "point": or base: OperatingPoint = OperatingPoint::paper_default(),
+        /// Axis swept along the columns.
+        "x_axis": or x_axis: SweepAxis = LATTICE_X_AXIS,
+        /// Column range (inclusive on both ends).
+        "x_from" "x_to": or x_range: (f64, f64) = LATTICE_X_RANGE,
+        /// Axis swept along the rows.
+        "y_axis": or y_axis: SweepAxis = LATTICE_Y_AXIS,
+        /// Row range (inclusive on both ends).
+        "y_from" "y_to": or y_range: (f64, f64) = LATTICE_Y_RANGE,
+        /// Lattice resolution per axis.
+        "steps": or steps: usize = LATTICE_STEPS,
+        /// When `true`, a serving transport delivers the grid as streamed
+        /// row-blocks (HTTP chunked transfer-encoding) instead of one buffered
+        /// body. The decoded payload is byte-identical either way; this only
+        /// bounds transport memory. Defaults to `false` and is omitted from
+        /// the encoding when `false`, so buffered requests round-trip to the
+        /// pre-streaming wire form.
+        "stream": omit stream: bool = false,
+    }
 }
 
 impl GridRequest {
@@ -1360,20 +1340,22 @@ fn grid_lattice(r: &GridRequest, _: &Value) -> Result<(), JsonError> {
     check_lattice(r.x_axis, r.x_range, r.y_axis, r.y_range, r.steps)
 }
 
-/// `POST /v1/sweep`: one workload axis swept over a linear range, the
-/// other two held at `base` (the paper's Figs. 4–6).
-#[derive(Debug, Clone, PartialEq)]
-pub struct SweepRequest {
-    /// The scenario to sweep in.
-    pub scenario: ScenarioSpec,
-    /// The operating point supplying the two held parameters.
-    pub base: OperatingPoint,
-    /// The swept axis.
-    pub axis: SweepAxis,
-    /// Sweep range (inclusive on both ends; `to > from`).
-    pub range: (f64, f64),
-    /// Number of samples (2–100 000).
-    pub steps: usize,
+wire_record! {
+    /// `POST /v1/sweep`: one workload axis swept over a linear range, the
+    /// other two held at `base` (the paper's Figs. 4–6).
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct SweepRequest check sweep_range {
+        /// The scenario to sweep in.
+        "..": flat scenario: ScenarioSpec,
+        /// The operating point supplying the two held parameters.
+        "point": or base: OperatingPoint = OperatingPoint::paper_default(),
+        /// The swept axis.
+        "axis": req axis: SweepAxis,
+        /// Sweep range (inclusive on both ends; `to > from`).
+        "from" "to": req range: (f64, f64),
+        /// Number of samples (2–100 000).
+        "steps": or steps: usize = 10,
+    }
 }
 
 impl SweepRequest {
@@ -1404,55 +1386,31 @@ fn sweep_range(request: &SweepRequest, _: &Value) -> Result<(), JsonError> {
 }
 
 wire_record! {
-    FrontierRequest(..scenario) check frontier_lattice {
-        "point": or base = OperatingPoint::paper_default(),
-        "x_axis": or x_axis = LATTICE_X_AXIS,
-        ("x_from", "x_to"): or x_range = LATTICE_X_RANGE,
-        "y_axis": or y_axis = LATTICE_Y_AXIS,
-        ("y_from", "y_to"): or y_range = LATTICE_Y_RANGE,
-        "steps": or steps = LATTICE_STEPS,
+    /// `POST /v1/frontier` response: the wire form of a
+    /// [`crate::FrontierResult`] — the dense winner mask plus the refiner's
+    /// evaluation accounting (the per-cell ratios of evaluated cells stay
+    /// engine-side).
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct FrontierResponse check frontier_is_rectangular {
+        /// Domain the frontier was traced in.
+        "domain": req domain: Domain,
+        /// Axis swept along the columns.
+        "x_axis": req x_axis: SweepAxis,
+        /// Column coordinate values.
+        "x_values": req x_values: Vec<f64>,
+        /// Axis swept along the rows.
+        "y_axis": req y_axis: SweepAxis,
+        /// Row coordinate values.
+        "y_values": req y_values: Vec<f64>,
+        /// `fpga_wins[row][col]` is `true` where the FPGA has the lower total.
+        "fpga_wins": req fpga_wins: Vec<Vec<bool>>,
+        /// Fraction of cells the FPGA wins.
+        "fpga_winning_fraction": req fpga_winning_fraction: f64,
+        /// Model evaluations the refiner performed.
+        "evaluations": req evaluations: u64,
+        /// `evaluations` over the dense cell count.
+        "evaluated_fraction": req evaluated_fraction: f64,
     }
-    GridRequest(..scenario) check grid_lattice {
-        "point": or base = OperatingPoint::paper_default(),
-        "x_axis": or x_axis = LATTICE_X_AXIS,
-        ("x_from", "x_to"): or x_range = LATTICE_X_RANGE,
-        "y_axis": or y_axis = LATTICE_Y_AXIS,
-        ("y_from", "y_to"): or y_range = LATTICE_Y_RANGE,
-        "steps": or steps = LATTICE_STEPS,
-        "stream": omit stream = false,
-    }
-    SweepRequest(..scenario) check sweep_range {
-        "point": or base = OperatingPoint::paper_default(),
-        "axis": req axis,
-        ("from", "to"): req range,
-        "steps": or steps = 10,
-    }
-}
-
-/// `POST /v1/frontier` response: the wire form of a
-/// [`crate::FrontierResult`] — the dense winner mask plus the refiner's
-/// evaluation accounting (the per-cell ratios of evaluated cells stay
-/// engine-side).
-#[derive(Debug, Clone, PartialEq)]
-pub struct FrontierResponse {
-    /// Domain the frontier was traced in.
-    pub domain: Domain,
-    /// Axis swept along the columns.
-    pub x_axis: SweepAxis,
-    /// Column coordinate values.
-    pub x_values: Vec<f64>,
-    /// Axis swept along the rows.
-    pub y_axis: SweepAxis,
-    /// Row coordinate values.
-    pub y_values: Vec<f64>,
-    /// `fpga_wins[row][col]` is `true` where the FPGA has the lower total.
-    pub fpga_wins: Vec<Vec<bool>>,
-    /// Fraction of cells the FPGA wins.
-    pub fpga_winning_fraction: f64,
-    /// Model evaluations the refiner performed.
-    pub evaluations: u64,
-    /// `evaluations` over the dense cell count.
-    pub evaluated_fraction: f64,
 }
 
 impl From<&FrontierResult> for FrontierResponse {
@@ -1486,32 +1444,20 @@ fn frontier_is_rectangular(response: &FrontierResponse, _: &Value) -> Result<(),
     Ok(())
 }
 
-wire_record! {
-    FrontierResponse check frontier_is_rectangular {
-        "domain": req domain,
-        "x_axis": req x_axis,
-        "x_values": req x_values,
-        "y_axis": req y_axis,
-        "y_values": req y_values,
-        "fpga_wins": req fpga_wins,
-        "fpga_winning_fraction": req fpga_winning_fraction,
-        "evaluations": req evaluations,
-        "evaluated_fraction": req evaluated_fraction,
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Comparisons, sensitivity, uncertainty and the industry testcases
 // ---------------------------------------------------------------------------
 
-/// `POST /v1/compare`: one operating point evaluated side by side in
-/// several scenarios (e.g. all three domains at their baselines).
-#[derive(Debug, Clone, PartialEq)]
-pub struct CompareRequest {
-    /// The scenarios to evaluate, in response order (1–16).
-    pub scenarios: Vec<ScenarioSpec>,
-    /// The operating point shared by every scenario.
-    pub point: OperatingPoint,
+wire_record! {
+    /// `POST /v1/compare`: one operating point evaluated side by side in
+    /// several scenarios (e.g. all three domains at their baselines).
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct CompareRequest check compare_count {
+        /// The scenarios to evaluate, in response order (1–16).
+        "scenarios": req scenarios: Vec<ScenarioSpec>,
+        /// The operating point shared by every scenario.
+        "point": or point: OperatingPoint = OperatingPoint::paper_default(),
+    }
 }
 
 impl CompareRequest {
@@ -1537,44 +1483,41 @@ pub struct CompareResponse {
     pub comparisons: Vec<PlatformComparison>,
 }
 
-/// `POST /v1/tornado`: one-at-a-time sensitivity analysis over every
-/// Table 1 knob around the scenario's parameters (the paper's Fig. 12).
-#[derive(Debug, Clone, PartialEq)]
-pub struct TornadoRequest {
-    /// The scenario whose parameters anchor the analysis.
-    pub scenario: ScenarioSpec,
-    /// The operating point the ratio is probed at.
-    pub point: OperatingPoint,
+wire_record! {
+    /// `POST /v1/tornado`: one-at-a-time sensitivity analysis over every
+    /// Table 1 knob around the scenario's parameters (the paper's Fig. 12).
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct TornadoRequest {
+        /// The scenario whose parameters anchor the analysis.
+        "..": flat scenario: ScenarioSpec,
+        /// The operating point the ratio is probed at.
+        "point": or point: OperatingPoint = OperatingPoint::paper_default(),
+    }
 }
 
 wire_record! {
-    CompareRequest check compare_count {
-        "scenarios": req scenarios,
-        "point": or point = OperatingPoint::paper_default(),
-    }
-    CompareResponse {
+    impl CompareResponse {
         "count" => comparisons.len,
         "results": req comparisons,
     }
-    TornadoRequest(..scenario) {
-        "point": or point = OperatingPoint::paper_default(),
-    }
 }
 
-/// `POST /v1/montecarlo`: Monte-Carlo uncertainty analysis over the
-/// Table 1 knob ranges (the paper's Fig. 13). Deterministic for a given
-/// `(samples, seed)` regardless of thread count.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MonteCarloRequest {
-    /// The scenario whose parameters anchor the study.
-    pub scenario: ScenarioSpec,
-    /// The (fixed) workload operating point.
-    pub point: OperatingPoint,
-    /// Number of parameter samples to draw (1–1 048 576).
-    pub samples: usize,
-    /// RNG seed. Must stay below 2⁵³ so it survives the JSON number
-    /// round-trip exactly.
-    pub seed: u64,
+wire_record! {
+    /// `POST /v1/montecarlo`: Monte-Carlo uncertainty analysis over the
+    /// Table 1 knob ranges (the paper's Fig. 13). Deterministic for a given
+    /// `(samples, seed)` regardless of thread count.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct MonteCarloRequest check monte_carlo_samples {
+        /// The scenario whose parameters anchor the study.
+        "..": flat scenario: ScenarioSpec,
+        /// The (fixed) workload operating point.
+        "point": or point: OperatingPoint = OperatingPoint::paper_default(),
+        /// Number of parameter samples to draw (1–1 048 576).
+        "samples": or samples: usize = Self::DEFAULT_SAMPLES,
+        /// RNG seed. Must stay below 2⁵³ so it survives the JSON number
+        /// round-trip exactly.
+        "seed": or seed: u64 = Self::DEFAULT_SEED,
+    }
 }
 
 impl MonteCarloRequest {
@@ -1613,28 +1556,30 @@ fn monte_carlo_samples(request: &MonteCarloRequest, _: &Value) -> Result<(), Jso
     Ok(())
 }
 
-/// `POST /v1/montecarlo` response: the summary statistics of the sampled
-/// FPGA:ASIC ratio distribution (the full sample vector stays server-side).
-#[derive(Debug, Clone, PartialEq)]
-pub struct MonteCarloResponse {
-    /// Domain the study was run in.
-    pub domain: Domain,
-    /// The (fixed) workload operating point.
-    pub point: OperatingPoint,
-    /// Number of samples drawn.
-    pub samples: u64,
-    /// 5th percentile of the ratio distribution.
-    pub ratio_p5: f64,
-    /// Median ratio.
-    pub ratio_median: f64,
-    /// 95th percentile of the ratio distribution.
-    pub ratio_p95: f64,
-    /// Mean ratio.
-    pub ratio_mean: f64,
-    /// Fraction of samples where the FPGA had the lower footprint.
-    pub fpga_win_probability: f64,
-    /// The platform winning the majority of samples.
-    pub majority_winner: PlatformKind,
+wire_record! {
+    /// `POST /v1/montecarlo` response: the summary statistics of the sampled
+    /// FPGA:ASIC ratio distribution (the full sample vector stays server-side).
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct MonteCarloResponse {
+        /// Domain the study was run in.
+        "domain": req domain: Domain,
+        /// The (fixed) workload operating point.
+        "point": req point: OperatingPoint,
+        /// Number of samples drawn.
+        "samples": req samples: u64,
+        /// 5th percentile of the ratio distribution.
+        "ratio_p5": req ratio_p5: f64,
+        /// Median ratio.
+        "ratio_median": req ratio_median: f64,
+        /// 95th percentile of the ratio distribution.
+        "ratio_p95": req ratio_p95: f64,
+        /// Mean ratio.
+        "ratio_mean": req ratio_mean: f64,
+        /// Fraction of samples where the FPGA had the lower footprint.
+        "fpga_win_probability": req fpga_win_probability: f64,
+        /// The platform winning the majority of samples.
+        "majority_winner": req majority_winner: PlatformKind,
+    }
 }
 
 impl From<&UncertaintyReport> for MonteCarloResponse {
@@ -1654,36 +1599,19 @@ impl From<&UncertaintyReport> for MonteCarloResponse {
 }
 
 wire_record! {
-    MonteCarloRequest(..scenario) check monte_carlo_samples {
-        "point": or point = OperatingPoint::paper_default(),
-        "samples": or samples = Self::DEFAULT_SAMPLES,
-        "seed": or seed = Self::DEFAULT_SEED,
+    /// `POST /v1/industry`: the Table 3 industry testcases (Figs. 10–11) under
+    /// a configurable deployment scenario.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct IndustryRequest check industry_bounds {
+        /// Table 1 knob overrides applied on top of the paper defaults.
+        "knobs": or knobs: Vec<(Knob, f64)> as KnobMap = Vec::new(),
+        /// Total service life in years.
+        "service_years": or service_years: f64 = Self::default().service_years,
+        /// Applications an FPGA serves over the service life.
+        "fpga_applications": or fpga_applications: u64 = Self::default().fpga_applications,
+        /// Deployment volume in devices.
+        "volume": or volume: u64 = Self::default().volume,
     }
-    MonteCarloResponse {
-        "domain": req domain,
-        "point": req point,
-        "samples": req samples,
-        "ratio_p5": req ratio_p5,
-        "ratio_median": req ratio_median,
-        "ratio_p95": req ratio_p95,
-        "ratio_mean": req ratio_mean,
-        "fpga_win_probability": req fpga_win_probability,
-        "majority_winner": req majority_winner,
-    }
-}
-
-/// `POST /v1/industry`: the Table 3 industry testcases (Figs. 10–11) under
-/// a configurable deployment scenario.
-#[derive(Debug, Clone, PartialEq)]
-pub struct IndustryRequest {
-    /// Table 1 knob overrides applied on top of the paper defaults.
-    pub knobs: Vec<(Knob, f64)>,
-    /// Total service life in years.
-    pub service_years: f64,
-    /// Applications an FPGA serves over the service life.
-    pub fpga_applications: u64,
-    /// Deployment volume in devices.
-    pub volume: u64,
 }
 
 impl Default for IndustryRequest {
@@ -1719,39 +1647,24 @@ fn industry_bounds(request: &IndustryRequest, value: &Value) -> Result<(), JsonE
     Ok(())
 }
 
-/// One device's footprint in a [`IndustryResponse`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct IndustryDeviceReport {
-    /// Device name (Table 3).
-    pub device: String,
-    /// Which platform the device is.
-    pub platform: PlatformKind,
-    /// Its lifecycle footprint under the requested scenario.
-    pub cfp: CfpBreakdown,
-}
-
-/// `POST /v1/industry` response: every Table 3 device's footprint, FPGAs
-/// first.
-#[derive(Debug, Clone, PartialEq)]
-pub struct IndustryResponse {
-    /// Per-device footprints.
-    pub devices: Vec<IndustryDeviceReport>,
-}
-
 wire_record! {
-    IndustryRequest check industry_bounds {
-        "knobs": or knobs as KnobMap = Vec::new(),
-        "service_years": or service_years = Self::default().service_years,
-        "fpga_applications": or fpga_applications = Self::default().fpga_applications,
-        "volume": or volume = Self::default().volume,
+    /// One device's footprint in a [`IndustryResponse`].
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct IndustryDeviceReport {
+        /// Device name (Table 3).
+        "device": req device: String,
+        /// Which platform the device is.
+        "platform": req platform: PlatformKind,
+        /// Its lifecycle footprint under the requested scenario.
+        "cfp": req cfp: CfpBreakdown,
     }
-    IndustryDeviceReport {
-        "device": req device,
-        "platform": req platform,
-        "cfp": req cfp,
-    }
-    IndustryResponse {
-        "devices": req devices,
+
+    /// `POST /v1/industry` response: every Table 3 device's footprint, FPGAs
+    /// first.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct IndustryResponse {
+        /// Per-device footprints.
+        "devices": req devices: Vec<IndustryDeviceReport>,
     }
 }
 
@@ -1759,17 +1672,19 @@ wire_record! {
 // Serving observability
 // ---------------------------------------------------------------------------
 
-/// One latency histogram of `GET /v1/metrics`: `bounds_us[i]` is the
-/// inclusive upper bound (microseconds) of bucket `i`, and `counts` has one
-/// extra trailing bucket for everything above the last bound (JSON has no
-/// lexeme for infinity, so the overflow bound is implicit).
-#[derive(Debug, Clone, PartialEq)]
-pub struct LatencyHistogram {
-    /// Inclusive bucket upper bounds in microseconds, ascending.
-    pub bounds_us: Vec<f64>,
-    /// Observation counts; `counts.len() == bounds_us.len() + 1` (the last
-    /// bucket is the overflow bucket).
-    pub counts: Vec<u64>,
+wire_record! {
+    /// One latency histogram of `GET /v1/metrics`: `bounds_us[i]` is the
+    /// inclusive upper bound (microseconds) of bucket `i`, and `counts` has one
+    /// extra trailing bucket for everything above the last bound (JSON has no
+    /// lexeme for infinity, so the overflow bound is implicit).
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct LatencyHistogram check histogram_buckets {
+        /// Inclusive bucket upper bounds in microseconds, ascending.
+        "bounds_us": req bounds_us: Vec<f64>,
+        /// Observation counts; `counts.len() == bounds_us.len() + 1` (the last
+        /// bucket is the overflow bucket).
+        "counts": req counts: Vec<u64>,
+    }
 }
 
 fn histogram_buckets(histogram: &LatencyHistogram, _: &Value) -> Result<(), JsonError> {
@@ -1782,130 +1697,89 @@ fn histogram_buckets(histogram: &LatencyHistogram, _: &Value) -> Result<(), Json
     Ok(())
 }
 
-/// One route's counters in `GET /v1/metrics`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RouteMetrics {
-    /// Stable route label, e.g. `"POST /v1/evaluate"`.
-    pub route: String,
-    /// Requests answered on this route (any status).
-    pub requests: u64,
-    /// Requests answered with a non-2xx status. Kept as the sum of
-    /// `errors_4xx + errors_5xx` for consumers that predate the split.
-    pub errors: u64,
-    /// Requests answered with a 4xx status (client faults).
-    pub errors_4xx: u64,
-    /// Requests answered with a 5xx (or other non-2xx, non-4xx) status —
-    /// server faults.
-    pub errors_5xx: u64,
-    /// Request-body bytes received on this route.
-    pub bytes_in: u64,
-    /// Response-body bytes sent on this route.
-    pub bytes_out: u64,
-    /// Handler latency distribution.
-    pub latency: LatencyHistogram,
-}
-
-/// One scenario-cache shard's counters in `GET /v1/metrics`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CacheShardMetrics {
-    /// Compiled scenarios currently cached in the shard.
-    pub entries: u64,
-    /// Lifetime lookup hits.
-    pub hits: u64,
-    /// Lifetime lookup misses (compilations).
-    pub misses: u64,
-}
-
-/// `GET /v1/metrics` response: the serving core's observability snapshot —
-/// per-route request/error counters and latency histograms, per-shard
-/// scenario-cache statistics, and the connection governor's gauges.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MetricsResponse {
-    /// Requests answered over the server's lifetime (any route, any status).
-    pub requests_served: u64,
-    /// Connections currently accepted and not yet finished.
-    pub connections_live: u64,
-    /// The governor's hard cap on live connections.
-    pub connections_max: u64,
-    /// Connections rejected with `503` by admission control.
-    pub connections_rejected: u64,
-    /// Per-route counters, in stable route order.
-    pub routes: Vec<RouteMetrics>,
-    /// Per-shard scenario-cache statistics, in shard order.
-    pub cache_shards: Vec<CacheShardMetrics>,
-}
-
-/// One span in `GET /v1/trace`: a named, timed slice of work with the
-/// request id that correlates it to an `x-request-id` response header.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TraceSpan {
-    /// Span class, e.g. `"parse"`, `"execute"`, `"cache_hit"`.
-    pub name: String,
-    /// Unique span id, 16 lowercase hex digits.
-    pub span_id: String,
-    /// Owning request id, 16 lowercase hex digits (all zeros when the
-    /// span is not request-scoped).
-    pub request_id: String,
-    /// Start, in nanoseconds since the process trace epoch.
-    pub start_ns: u64,
-    /// Duration in nanoseconds (`0` for instant events).
-    pub duration_ns: u64,
-    /// Span-class-specific detail (cache shard index, byte count, ...).
-    pub aux: u64,
-    /// Recording thread's trace-ring id.
-    pub thread: u64,
-}
-
-/// `GET /v1/trace` response: the most recent spans from every thread's
-/// trace ring, newest first.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TraceResponse {
-    /// Recent spans, newest first.
-    pub spans: Vec<TraceSpan>,
-    /// Whether tracing is currently recording.
-    pub enabled: bool,
-}
-
 wire_record! {
-    LatencyHistogram check histogram_buckets {
-        "bounds_us": req bounds_us,
-        "counts": req counts,
+    /// One route's counters in `GET /v1/metrics`.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct RouteMetrics {
+        /// Stable route label, e.g. `"POST /v1/evaluate"`.
+        "route": req route: String,
+        /// Requests answered on this route (any status).
+        "requests": req requests: u64,
+        /// Requests answered with a non-2xx status. Kept as the sum of
+        /// `errors_4xx + errors_5xx` for consumers that predate the split.
+        "errors": req errors: u64,
+        /// Requests answered with a 4xx status (client faults).
+        "errors_4xx": or errors_4xx: u64 = 0,
+        /// Requests answered with a 5xx (or other non-2xx, non-4xx) status —
+        /// server faults.
+        "errors_5xx": or errors_5xx: u64 = 0,
+        /// Request-body bytes received on this route.
+        "bytes_in": or bytes_in: u64 = 0,
+        /// Response-body bytes sent on this route.
+        "bytes_out": or bytes_out: u64 = 0,
+        /// Handler latency distribution.
+        "latency": req latency: LatencyHistogram,
     }
-    RouteMetrics {
-        "route": req route,
-        "requests": req requests,
-        "errors": req errors,
-        "errors_4xx": or errors_4xx = 0,
-        "errors_5xx": or errors_5xx = 0,
-        "bytes_in": or bytes_in = 0,
-        "bytes_out": or bytes_out = 0,
-        "latency": req latency,
+
+    /// One scenario-cache shard's counters in `GET /v1/metrics`.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct CacheShardMetrics {
+        /// Compiled scenarios currently cached in the shard.
+        "entries": req entries: u64,
+        /// Lifetime lookup hits.
+        "hits": req hits: u64,
+        /// Lifetime lookup misses (compilations).
+        "misses": req misses: u64,
     }
-    CacheShardMetrics {
-        "entries": req entries,
-        "hits": req hits,
-        "misses": req misses,
+
+    /// `GET /v1/metrics` response: the serving core's observability snapshot —
+    /// per-route request/error counters and latency histograms, per-shard
+    /// scenario-cache statistics, and the connection governor's gauges.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct MetricsResponse {
+        /// Requests answered over the server's lifetime (any route, any status).
+        "requests_served": req requests_served: u64,
+        /// Connections currently accepted and not yet finished.
+        "connections_live": req connections_live: u64,
+        /// The governor's hard cap on live connections.
+        "connections_max": req connections_max: u64,
+        /// Connections rejected with `503` by admission control.
+        "connections_rejected": req connections_rejected: u64,
+        /// Per-route counters, in stable route order.
+        "routes": req routes: Vec<RouteMetrics>,
+        /// Per-shard scenario-cache statistics, in shard order.
+        "cache_shards": req cache_shards: Vec<CacheShardMetrics>,
     }
-    MetricsResponse {
-        "requests_served": req requests_served,
-        "connections_live": req connections_live,
-        "connections_max": req connections_max,
-        "connections_rejected": req connections_rejected,
-        "routes": req routes,
-        "cache_shards": req cache_shards,
+
+    /// One span in `GET /v1/trace`: a named, timed slice of work with the
+    /// request id that correlates it to an `x-request-id` response header.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct TraceSpan {
+        /// Span class, e.g. `"parse"`, `"execute"`, `"cache_hit"`.
+        "name": req name: String,
+        /// Unique span id, 16 lowercase hex digits.
+        "span_id": req span_id: String,
+        /// Owning request id, 16 lowercase hex digits (all zeros when the
+        /// span is not request-scoped).
+        "request_id": req request_id: String,
+        /// Start, in nanoseconds since the process trace epoch.
+        "start_ns": req start_ns: u64,
+        /// Duration in nanoseconds (`0` for instant events).
+        "duration_ns": req duration_ns: u64,
+        /// Span-class-specific detail (cache shard index, byte count, ...).
+        "aux": or aux: u64 = 0,
+        /// Recording thread's trace-ring id.
+        "thread": or thread: u64 = 0,
     }
-    TraceSpan {
-        "name": req name,
-        "span_id": req span_id,
-        "request_id": req request_id,
-        "start_ns": req start_ns,
-        "duration_ns": req duration_ns,
-        "aux": or aux = 0,
-        "thread": or thread = 0,
-    }
-    TraceResponse {
-        "spans": req spans,
-        "enabled": or enabled = true,
+
+    /// `GET /v1/trace` response: the most recent spans from every thread's
+    /// trace ring, newest first.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct TraceResponse {
+        /// Recent spans, newest first.
+        "spans": req spans: Vec<TraceSpan>,
+        /// Whether tracing is currently recording.
+        "enabled": or enabled: bool = true,
     }
 }
 
