@@ -298,10 +298,10 @@ fn require_object(value: &Value, at: &str, message: &str) -> Result<(), JsonErro
 
 /// Decodes a `wire_enum!` string. Enums declared with a noun match
 /// case-insensitively and name the noun in their errors; the others list
-/// their ids.
+/// their ids. Errors carry no path of their own, so they report at the
+/// member the enum was read from.
 fn decode_enum<T>(
     value: &Value,
-    at: &str,
     noun: Option<&str>,
     ids: &[&str],
     parse: fn(&str) -> Option<T>,
@@ -310,7 +310,7 @@ fn decode_enum<T>(
         return value.as_str().and_then(parse).ok_or_else(|| {
             let quoted: Vec<String> = ids.iter().map(|id| format!("\"{id}\"")).collect();
             let (last, rest) = quoted.split_last().expect("wire enums have variants");
-            JsonError::schema(at, format!("expected {} or {last}", rest.join(", ")))
+            JsonError::schema("", format!("expected {} or {last}", rest.join(", ")))
         });
     };
     let id = value.as_str().ok_or_else(|| {
@@ -319,10 +319,10 @@ fn decode_enum<T>(
         } else {
             "a"
         };
-        JsonError::schema(at, format!("expected {article} {noun} string"))
+        JsonError::schema("", format!("expected {article} {noun} string"))
     })?;
     parse(&id.to_ascii_lowercase())
-        .ok_or_else(|| JsonError::schema(at, format!("unknown {noun} '{id}'")))
+        .ok_or_else(|| JsonError::schema("", format!("unknown {noun} '{id}'")))
 }
 
 // ---------------------------------------------------------------------------
@@ -449,7 +449,7 @@ macro_rules! wire_record {
 /// case-insensitively.
 macro_rules! wire_enum {
     ($(
-        $name:ident at $at:literal $(named $noun:literal)? {
+        $name:ident $(named $noun:literal)? {
             $( $variant:ident = $id:literal $(| $alias:literal)* ),* $(,)?
         }
     )*) => {$(
@@ -479,27 +479,27 @@ macro_rules! wire_enum {
         impl FromJson for $name {
             fn from_json(value: &Value) -> Result<$name, JsonError> {
                 let noun: &[&str] = &[$($noun)?];
-                decode_enum(value, $at, noun.first().copied(), &[$($id),*], $name::from_wire_id)
+                decode_enum(value, noun.first().copied(), &[$($id),*], $name::from_wire_id)
             }
         }
     )*};
 }
 
 wire_enum! {
-    Domain at "domain" named "domain" {
+    Domain named "domain" {
         Dnn = "dnn",
         ImageProcessing = "imgproc" | "image" | "imageprocessing" | "image_processing",
         Crypto = "crypto" | "cryptography",
     }
-    SweepAxis at "axis" named "axis" {
+    SweepAxis named "axis" {
         Applications = "apps" | "applications",
         LifetimeYears = "lifetime",
         VolumeUnits = "volume",
     }
-    PlatformKind at "winner" { Fpga = "FPGA", Asic = "ASIC" }
-    CrossoverDirection at "direction" { AsicToFpga = "A2F", FpgaToAsic = "F2A" }
-    OptPlatform at "platform" { Fpga = "fpga", Asic = "asic" }
-    SolverKind at "solver" { Analytic = "analytic", Search = "search" }
+    PlatformKind { Fpga = "FPGA", Asic = "ASIC" }
+    CrossoverDirection { AsicToFpga = "A2F", FpgaToAsic = "F2A" }
+    OptPlatform { Fpga = "fpga", Asic = "asic" }
+    SolverKind { Analytic = "analytic", Search = "search" }
 }
 
 impl ToJson for Knob {
@@ -2143,6 +2143,36 @@ mod tests {
             BatchEvalRequest::from_json(&parse(r#"{"domain": "dnn", "points": 7}"#).unwrap())
                 .unwrap_err();
         assert!(bad_points.to_string().contains("points"));
+        // Enum decoders report the member they were read from.
+        for (error, at) in [
+            (
+                FrontierRequest::from_json(&parse(r#"{"domain":"dnn","x_axis":"bogus"}"#).unwrap()),
+                "x_axis: unknown axis 'bogus'",
+            ),
+            (
+                FrontierRequest::from_json(&parse(r#"{"domain":"dnn","y_axis":3}"#).unwrap()),
+                "y_axis: expected an axis string",
+            ),
+        ] {
+            assert_eq!(
+                error.unwrap_err().to_string(),
+                format!("JSON schema error at {at}")
+            );
+        }
+        let report = parse(r#"{"device":"chip","platform":"GPU"}"#).unwrap();
+        assert_eq!(
+            IndustryDeviceReport::from_json(&report)
+                .unwrap_err()
+                .to_string(),
+            r#"JSON schema error at platform: expected "FPGA" or "ASIC""#
+        );
+        let report = parse(r#"{"domain":"dnn","point":{},"samples":1,"ratio_p5":1,"ratio_median":1,"ratio_p95":1,"ratio_mean":1,"fpga_win_probability":1,"majority_winner":"fpga"}"#).unwrap();
+        assert_eq!(
+            MonteCarloResponse::from_json(&report)
+                .unwrap_err()
+                .to_string(),
+            r#"JSON schema error at majority_winner: expected "FPGA" or "ASIC""#
+        );
     }
 
     #[test]
