@@ -25,7 +25,13 @@
 //! * the inverse-query solver — an affine two-knob argmin through the
 //!   exact vertex tier (`optimize_analytic_ns`) and a non-affine
 //!   constrained solve through the coordinate-search tier
-//!   (`optimize_search_ns`), the paths behind `POST /v1/optimize`.
+//!   (`optimize_search_ns`), the paths behind `POST /v1/optimize`, and
+//! * response encoding on the serving path — one `/v1/evaluate` body
+//!   (`encode_evaluate_ns`) and one 64-point `/v1/batch` body
+//!   (`encode_batch64_ns`) written by `Outcome::write_result` into a reused
+//!   buffer, the bytes the server answers with. The `Value` path
+//!   (`result_json` then `to_json_string`) is timed alongside and printed
+//!   for comparison only.
 //!
 //! Emits `BENCH_eval.json` (override the path with `GF_BENCH_OUT`) so CI
 //! can track the performance trajectory (`bench_gate` compares a fresh run
@@ -36,10 +42,11 @@
 
 use std::time::Duration;
 
-use gf_bench::harness::{bench_ratio, bench_with, metrics_json};
+use gf_bench::harness::{bench_ratio, bench_with, metrics_json, BenchResult};
 use gf_support::SplitMix64;
+use greenfpga::api::{BatchEvalRequest, EvaluateRequest, Outcome, Query, ScenarioSpec};
 use greenfpga::{
-    CompiledScenario, Domain, Estimator, EstimatorParams, Knob, MonteCarlo, Objective,
+    CompiledScenario, Domain, Engine, Estimator, EstimatorParams, Knob, MonteCarlo, Objective,
     OperatingPoint, OptPlatform, ResultBuffer, SearchKnob, SolverKind, SweepAxis,
 };
 
@@ -187,6 +194,47 @@ fn analytic_crossovers(compiled: &CompiledScenario) -> (f64, f64, f64) {
 
 fn frontier_axes() -> (Vec<f64>, Vec<f64>) {
     grid_axes()
+}
+
+/// Times one outcome's response body written to bytes the way the server
+/// does (into a reused buffer), after checking the bytes against the
+/// `Value` path; prints the `Value` path's time for comparison.
+fn bench_encode(name: &str, outcome: &Outcome) -> BenchResult {
+    let mut body = Vec::new();
+    outcome.write_result(&mut body).expect("finite result");
+    let text = outcome
+        .result_json()
+        .to_json_string()
+        .expect("finite result");
+    assert_eq!(
+        body,
+        text.as_bytes(),
+        "{name}: direct and Value bytes differ"
+    );
+    let direct = bench_with(name, Duration::from_millis(120), 5, || {
+        body.clear();
+        outcome.write_result(&mut body).expect("finite result");
+        body.len()
+    });
+    println!("{direct}");
+    let via_value = bench_with(
+        &format!("{name}_via_value"),
+        Duration::from_millis(120),
+        5,
+        || {
+            outcome
+                .result_json()
+                .to_json_string()
+                .expect("finite result")
+        },
+    );
+    println!("{via_value}");
+    println!(
+        "{name}: {} B, {:.2}x faster than the Value path",
+        text.len(),
+        via_value.median_ns / direct.median_ns
+    );
+    direct
 }
 
 fn main() {
@@ -546,6 +594,28 @@ fn main() {
     });
     println!("{optimize_search}");
 
+    // --- Response encoding on the serving path. ---
+    let engine = Engine::with_defaults().expect("engine");
+    let evaluate = engine
+        .run(&Query::Evaluate(EvaluateRequest {
+            scenario: ScenarioSpec::baseline(Domain::Dnn),
+            point: OperatingPoint::paper_default(),
+        }))
+        .expect("evaluate");
+    let batch64 = engine
+        .run(&Query::Batch(BatchEvalRequest {
+            scenario: ScenarioSpec::baseline(Domain::Dnn),
+            points: (1..=64)
+                .map(|applications| OperatingPoint {
+                    applications,
+                    ..OperatingPoint::paper_default()
+                })
+                .collect(),
+        }))
+        .expect("batch");
+    let encode_evaluate = bench_encode("encode_evaluate", &evaluate);
+    let encode_batch64 = bench_encode("encode_batch64", &batch64);
+
     let json = metrics_json(&[
         ("grid_size", GRID_SIZE as f64),
         ("mc_samples", MC_SAMPLES as f64),
@@ -570,6 +640,8 @@ fn main() {
         ("replay_year_ns", replay_year.median_ns),
         ("optimize_analytic_ns", optimize_analytic.median_ns),
         ("optimize_search_ns", optimize_search.median_ns),
+        ("encode_evaluate_ns", encode_evaluate.median_ns),
+        ("encode_batch64_ns", encode_batch64.median_ns),
     ]);
     let out = std::env::var("GF_BENCH_OUT").unwrap_or_else(|_| "BENCH_eval.json".to_string());
     std::fs::write(&out, &json).expect("write bench json");

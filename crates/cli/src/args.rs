@@ -366,21 +366,17 @@ GRID / FRONTIER OPTIONS:
 ";
 
 fn parse_domain(value: &str) -> Result<Domain, ParseError> {
-    match value.to_ascii_lowercase().as_str() {
-        "dnn" => Ok(Domain::Dnn),
-        "imgproc" | "image" | "imageprocessing" => Ok(Domain::ImageProcessing),
-        "crypto" | "cryptography" => Ok(Domain::Crypto),
-        other => Err(ParseError(format!("unknown domain '{other}'"))),
-    }
+    Domain::parse_id(value)
+        .ok_or_else(|| ParseError(format!("unknown domain '{}'", value.to_ascii_lowercase())))
 }
 
 fn parse_axis(value: &str) -> Result<SweepAxis, ParseError> {
-    match value.to_ascii_lowercase().as_str() {
-        "apps" | "applications" => Ok(SweepAxis::Applications),
-        "lifetime" => Ok(SweepAxis::LifetimeYears),
-        "volume" => Ok(SweepAxis::VolumeUnits),
-        other => Err(ParseError(format!("unknown sweep axis '{other}'"))),
-    }
+    SweepAxis::parse_id(value).ok_or_else(|| {
+        ParseError(format!(
+            "unknown sweep axis '{}'",
+            value.to_ascii_lowercase()
+        ))
+    })
 }
 
 fn parse_number<T: std::str::FromStr>(key: &str, value: &str) -> Result<T, ParseError> {
@@ -662,11 +658,8 @@ fn parse_serve(options: &Options) -> Result<ServeArgs, ParseError> {
 fn parse_platform(value: Option<&str>, key: &str) -> Result<OptPlatform, ParseError> {
     match value {
         None => Ok(OptPlatform::Fpga),
-        Some("fpga") => Ok(OptPlatform::Fpga),
-        Some("asic") => Ok(OptPlatform::Asic),
-        Some(other) => Err(ParseError(format!(
-            "{key} must be fpga or asic, got '{other}'"
-        ))),
+        Some(id) => OptPlatform::parse_id(id)
+            .ok_or_else(|| ParseError(format!("{key} must be fpga or asic, got '{id}'"))),
     }
 }
 
@@ -1161,6 +1154,31 @@ mod tests {
             }
         }
         assert!(parse_cmd("compare --domain gpu").is_err());
+    }
+
+    #[test]
+    fn every_wire_id_and_alias_parses() {
+        // The options read the wire enums' own tables, so every id the
+        // wire accepts is accepted here too.
+        for &(id, domain) in Domain::WIRE_IDS {
+            assert_eq!(parse_domain(id).unwrap(), domain, "{id}");
+            assert_eq!(parse_domain(&id.to_ascii_uppercase()).unwrap(), domain);
+        }
+        for &(id, axis) in SweepAxis::WIRE_IDS {
+            assert_eq!(parse_axis(id).unwrap(), axis, "{id}");
+        }
+        for &(id, platform) in OptPlatform::WIRE_IDS {
+            assert_eq!(parse_platform(Some(id), "--platform").unwrap(), platform);
+        }
+        assert!(Domain::WIRE_IDS.contains(&("image_processing", Domain::ImageProcessing)));
+        match parse_cmd("evaluate --domain image_processing").unwrap() {
+            Command::Evaluate(w) => assert_eq!(w.domain, Domain::ImageProcessing),
+            other => panic!("unexpected command {other:?}"),
+        }
+        assert_eq!(
+            parse_axis("watts").unwrap_err().to_string(),
+            "unknown sweep axis 'watts'"
+        );
     }
 
     #[test]

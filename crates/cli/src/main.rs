@@ -395,14 +395,19 @@ fn run_grid_stream(engine: &Engine, command: &Command, json: bool) -> Result<(),
     let ser =
         |e: gf_json::JsonError| ApiError::internal(format!("result serialization failed: {e}"));
     if json {
-        out.write_all(grid_stream_head(&stream).map_err(ser)?.as_bytes())
-            .map_err(io)?;
+        let mut fragment = Vec::new();
+        grid_stream_head(&stream, &mut fragment).map_err(ser)?;
+        out.write_all(&fragment).map_err(io)?;
         while let Some(block) = stream.next_block() {
-            out.write_all(grid_stream_rows(&block?).map_err(ser)?.as_bytes())
-                .map_err(io)?;
+            fragment.clear();
+            grid_stream_rows(&block?, &mut fragment).map_err(ser)?;
+            out.write_all(&fragment).map_err(io)?;
             out.flush().map_err(io)?;
         }
-        writeln!(out, "{}", grid_stream_tail(&stream).map_err(ser)?).map_err(io)?;
+        fragment.clear();
+        grid_stream_tail(&stream, &mut fragment).map_err(ser)?;
+        fragment.push(b'\n');
+        out.write_all(&fragment).map_err(io)?;
     } else {
         writeln!(
             out,

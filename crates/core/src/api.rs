@@ -73,6 +73,16 @@
 //! whose wire shape is irregular ([`ScenarioRef`], [`SeriesRef`],
 //! [`Objective`], [`Constraint`], [`ApiError`]) stay hand-written.
 //!
+//! ## One encoder, two outputs
+//!
+//! Every encoder — generated or hand-written — walks its members once into
+//! a [`gf_json::JsonSink`]. [`gf_json::ToJson::to_json`] runs the walk
+//! into a [`Value`] builder; [`gf_json::ToJson::write_json`] and
+//! [`Outcome::write_result`] run it into a [`gf_json::JsonWriter`], which
+//! is how the server answers: straight to bytes, no [`Value`] tree, and
+//! the same bytes as [`Outcome::result_json`] then
+//! [`Value::to_json_string`].
+//!
 //! ## The frozen corpus
 //!
 //! `tests/fixtures/wire/` holds the request, response and error bytes of
@@ -82,7 +92,7 @@
 //! `cargo test -p gf-tests --test wire_corpus -- --ignored regenerate` and
 //! give the reason for every changed entry in `CHANGES.md`.
 
-use gf_json::{object, FromJson, JsonError, ToJson, Value};
+use gf_json::{key, FromJson, JsonError, JsonSink, JsonWriter, ToJson, ToJsonMembers, Value};
 
 use crate::optimize::{
     CertificateProbe, Constraint, Objective, OptPlatform, SearchKnob, SolverKind,
@@ -107,8 +117,8 @@ pub const API_VERSION: u64 = 1;
 /// the type's own [`ToJson`]/[`FromJson`]; the other codecs serve member
 /// types that have none.
 trait Codec<T> {
-    /// Encodes the member's value.
-    fn encode(value: &T) -> Value;
+    /// Walks the member's value into `sink`.
+    fn encode<S: JsonSink>(value: &T, sink: &mut S);
     /// Decodes member `key` (`None` when absent), reporting schema errors
     /// at the member's path.
     fn decode(member: Option<&Value>, key: &str) -> Result<T, JsonError>;
@@ -118,8 +128,8 @@ trait Codec<T> {
 struct Plain;
 
 impl<T: ToJson + FromJson> Codec<T> for Plain {
-    fn encode(value: &T) -> Value {
-        value.to_json()
+    fn encode<S: JsonSink>(value: &T, sink: &mut S) {
+        value.encode(sink);
     }
 
     fn decode(member: Option<&Value>, key: &str) -> Result<T, JsonError> {
@@ -131,8 +141,8 @@ impl<T: ToJson + FromJson> Codec<T> for Plain {
 struct Kg;
 
 impl Codec<Carbon> for Kg {
-    fn encode(value: &Carbon) -> Value {
-        Value::Number(value.as_kg())
+    fn encode<S: JsonSink>(value: &Carbon, sink: &mut S) {
+        sink.number(value.as_kg());
     }
 
     fn decode(member: Option<&Value>, key: &str) -> Result<Carbon, JsonError> {
@@ -145,13 +155,13 @@ impl Codec<Carbon> for Kg {
 struct KnobMap;
 
 impl Codec<Vec<(Knob, f64)>> for KnobMap {
-    fn encode(knobs: &Vec<(Knob, f64)>) -> Value {
-        Value::Object(
-            knobs
-                .iter()
-                .map(|&(knob, value)| (knob.id().to_string(), Value::Number(value)))
-                .collect(),
-        )
+    fn encode<S: JsonSink>(knobs: &Vec<(Knob, f64)>, sink: &mut S) {
+        sink.begin_object();
+        for &(knob, value) in knobs {
+            sink.key_str(knob.id());
+            sink.number(value);
+        }
+        sink.end_object();
     }
 
     fn decode(member: Option<&Value>, key: &str) -> Result<Vec<(Knob, f64)>, JsonError> {
@@ -179,13 +189,13 @@ impl Codec<Vec<(Knob, f64)>> for KnobMap {
 struct AxisMap;
 
 impl Codec<Vec<(SweepAxis, f64)>> for AxisMap {
-    fn encode(values: &Vec<(SweepAxis, f64)>) -> Value {
-        Value::Object(
-            values
-                .iter()
-                .map(|&(axis, value)| (axis.wire_id().to_string(), Value::Number(value)))
-                .collect(),
-        )
+    fn encode<S: JsonSink>(values: &Vec<(SweepAxis, f64)>, sink: &mut S) {
+        sink.begin_object();
+        for &(axis, value) in values {
+            sink.key_str(axis.wire_id());
+            sink.number(value);
+        }
+        sink.end_object();
     }
 
     fn decode(member: Option<&Value>, key: &str) -> Result<Vec<(SweepAxis, f64)>, JsonError> {
@@ -207,8 +217,11 @@ impl Codec<Vec<(SweepAxis, f64)>> for AxisMap {
 struct Range;
 
 impl Codec<(f64, f64)> for Range {
-    fn encode(&(low, high): &(f64, f64)) -> Value {
-        Value::Array(vec![Value::Number(low), Value::Number(high)])
+    fn encode<S: JsonSink>(&(low, high): &(f64, f64), sink: &mut S) {
+        sink.begin_array();
+        sink.number(low);
+        sink.number(high);
+        sink.end_array();
     }
 
     fn decode(member: Option<&Value>, key: &str) -> Result<(f64, f64), JsonError> {
@@ -217,8 +230,8 @@ impl Codec<(f64, f64)> for Range {
 }
 
 impl Codec<(u64, u64)> for Range {
-    fn encode(&(low, high): &(u64, u64)) -> Value {
-        Value::Array(vec![low.to_json(), high.to_json()])
+    fn encode<S: JsonSink>(&(low, high): &(u64, u64), sink: &mut S) {
+        Range::encode(&(low as f64, high as f64), sink);
     }
 
     fn decode(member: Option<&Value>, key: &str) -> Result<(u64, u64), JsonError> {
@@ -275,12 +288,11 @@ fn member_or<T, C: Codec<T>>(value: &Value, key: &str, fallback: T) -> Result<T,
     }
 }
 
-/// Appends the members of a flattened field's object encoding.
-fn splice(members: &mut Vec<(String, Value)>, flattened: Value) {
-    match flattened {
-        Value::Object(spliced) => members.extend(spliced),
-        _ => unreachable!("flattened members encode to objects"),
-    }
+/// Walks a record as an object: its members between braces.
+fn encode_object<T: ToJsonMembers, S: JsonSink>(record: &T, sink: &mut S) {
+    sink.begin_object();
+    record.encode_members(sink);
+    sink.end_object();
 }
 
 /// `true` when an `omit` member differs from its default and is written.
@@ -296,10 +308,10 @@ fn require_object(value: &Value, at: &str, message: &str) -> Result<(), JsonErro
     }
 }
 
-/// Decodes a `wire_enum!` string. Enums declared with a noun match
-/// case-insensitively and name the noun in their errors; the others list
-/// their ids. Errors carry no path of their own, so they report at the
-/// member the enum was read from.
+/// Decodes a `wire_enum!` string through its `parse_id`. Enums declared
+/// with a noun name it in their errors; the others list their ids. Errors
+/// carry no path of their own, so they report at the member the enum was
+/// read from.
 fn decode_enum<T>(
     value: &Value,
     noun: Option<&str>,
@@ -321,8 +333,7 @@ fn decode_enum<T>(
         };
         JsonError::schema("", format!("expected {article} {noun} string"))
     })?;
-    parse(&id.to_ascii_lowercase())
-        .ok_or_else(|| JsonError::schema("", format!("unknown {noun} '{id}'")))
+    parse(id).ok_or_else(|| JsonError::schema("", format!("unknown {noun} '{id}'")))
 }
 
 // ---------------------------------------------------------------------------
@@ -344,21 +355,22 @@ macro_rules! wire_member {
     ($op:ident $target:ident, $rule:ident ($key:literal), $($rest:tt)*) => {
         wire_member!($op $target, $rule $key, $($rest)*)
     };
-    (encode $members:ident, flat $key:tt, $v:expr, $c:ty) => {
-        splice(&mut $members, $v.to_json())
+    (encode $sink:ident, flat $key:tt, $v:expr, $c:ty) => {
+        $v.encode_members($sink)
     };
-    (encode $members:ident, $rule:ident ($lo:literal, $hi:literal), $v:expr, $c:ty $(, $d:expr)?) => {
-        wire_member!(encode $members, $rule $lo, $v.0, $c $(, ($d).0)?);
-        wire_member!(encode $members, $rule $hi, $v.1, $c $(, ($d).1)?);
+    (encode $sink:ident, $rule:ident ($lo:literal, $hi:literal), $v:expr, $c:ty $(, $d:expr)?) => {
+        wire_member!(encode $sink, $rule $lo, $v.0, $c $(, ($d).0)?);
+        wire_member!(encode $sink, $rule $hi, $v.1, $c $(, ($d).1)?);
     };
-    (encode $members:ident, omit $key:literal, $v:expr, $c:ty, $d:expr) => {
+    (encode $sink:ident, omit $key:literal, $v:expr, $c:ty, $d:expr) => {
         if differs(&$v, &$d) {
-            $members.push(($key.to_string(), <$c as Codec<_>>::encode(&$v)));
+            wire_member!(encode $sink, or $key, $v, $c, $d);
         }
     };
-    (encode $members:ident, $rule:ident $key:literal, $v:expr, $c:ty $(, $d:expr)?) => {
-        $members.push(($key.to_string(), <$c as Codec<_>>::encode(&$v)))
-    };
+    (encode $sink:ident, $rule:ident $key:literal, $v:expr, $c:ty $(, $d:expr)?) => {{
+        $sink.key(key!($key));
+        <$c as Codec<_>>::encode(&$v, $sink);
+    }};
     (decode $value:ident, flat $key:tt, $c:ty) => {
         FromJson::from_json($value)
     };
@@ -377,8 +389,9 @@ macro_rules! wire_member {
 /// Declares records and their wire members once (grammar in the module
 /// docs). The `pub struct` form declares the struct itself, each field
 /// with its type; the `impl` form adds the wire members of a type declared
-/// elsewhere and may list derived members. Both generate `ToJson` and
-/// `FromJson`; the struct form forwards to the `impl` form.
+/// elsewhere and may list derived members. Both generate one member walk
+/// (`ToJsonMembers`, from which `ToJson` derives) and `FromJson`; the
+/// struct form forwards to the `impl` form.
 macro_rules! wire_record {
     ($(
         $(#[$meta:meta])*
@@ -410,22 +423,24 @@ macro_rules! wire_record {
             ),* $(,)?
         }
     )+) => {$(
-        impl ToJson for $name {
-            fn to_json(&self) -> Value {
-                let own: &[&str] = &[$(stringify!($keys)),*];
-                #[allow(unused_mut)] // a record with no members pushes none
-                let mut members = Vec::with_capacity(own.len() + 1);
+        impl ToJsonMembers for $name {
+            #[allow(unused_variables)] // a record with no members writes none
+            fn encode_members<S: JsonSink>(&self, sink: &mut S) {
                 $(
                     $( wire_member!(
-                        encode members, $rule $keys, self.$field, wire_codec!($($codec)?)
+                        encode sink, $rule $keys, self.$field, wire_codec!($($codec)?)
                         $(, $default)?
                     ); )?
-                    $( members.push((
-                        $keys.to_string(),
-                        <wire_codec!($($dcodec)?) as Codec<_>>::encode(&self.$($derived).+()),
-                    )); )?
+                    $( wire_member!(
+                        encode sink, req $keys, self.$($derived).+(), wire_codec!($($dcodec)?)
+                    ); )?
                 )*
-                Value::Object(members)
+            }
+        }
+
+        impl ToJson for $name {
+            fn encode<S: JsonSink>(&self, sink: &mut S) {
+                encode_object(self, sink);
             }
         }
 
@@ -444,9 +459,10 @@ macro_rules! wire_record {
 }
 
 /// Declares string enums once: each variant's canonical wire id and its
-/// accepted aliases. Generates `wire_id`/`from_wire_id` and the
-/// `ToJson`/`FromJson` impls. An enum `named` by a noun matches
-/// case-insensitively.
+/// accepted aliases. Generates `wire_id`, `parse_id`, the `WIRE_IDS` table
+/// and the `ToJson`/`FromJson` impls. An enum `named` by a noun matches
+/// case-insensitively. The CLI parses its enum options through the same
+/// `parse_id`, so the command line accepts exactly the wire's ids.
 macro_rules! wire_enum {
     ($(
         $name:ident $(named $noun:literal)? {
@@ -454,6 +470,11 @@ macro_rules! wire_enum {
         }
     )*) => {$(
         impl $name {
+            /// Every accepted wire id — canonical ids and aliases — with the
+            /// variant it names.
+            pub const WIRE_IDS: &'static [(&'static str, $name)] =
+                &[$( ($id, $name::$variant) $(, ($alias, $name::$variant))* ),*];
+
             /// The canonical wire id.
             pub(crate) fn wire_id(self) -> &'static str {
                 match self {
@@ -461,25 +482,32 @@ macro_rules! wire_enum {
                 }
             }
 
-            /// Resolves a wire id or alias, matched exactly.
-            pub(crate) fn from_wire_id(id: &str) -> Option<$name> {
-                match id {
+            /// Resolves a wire id or alias (any letter case when the enum
+            /// is named by a noun).
+            pub fn parse_id(id: &str) -> Option<$name> {
+                let exact = |id: &str| match id {
                     $( $id $(| $alias)* => Some($name::$variant), )*
                     _ => None,
+                };
+                let noun: &[&str] = &[$($noun)?];
+                if noun.is_empty() {
+                    exact(id)
+                } else {
+                    exact(&id.to_ascii_lowercase())
                 }
             }
         }
 
         impl ToJson for $name {
-            fn to_json(&self) -> Value {
-                Value::String(self.wire_id().to_string())
+            fn encode<S: JsonSink>(&self, sink: &mut S) {
+                sink.string(self.wire_id());
             }
         }
 
         impl FromJson for $name {
             fn from_json(value: &Value) -> Result<$name, JsonError> {
                 let noun: &[&str] = &[$($noun)?];
-                decode_enum(value, noun.first().copied(), &[$($id),*], $name::from_wire_id)
+                decode_enum(value, noun.first().copied(), &[$($id),*], $name::parse_id)
             }
         }
     )*};
@@ -503,8 +531,8 @@ wire_enum! {
 }
 
 impl ToJson for Knob {
-    fn to_json(&self) -> Value {
-        Value::String(self.id().to_string())
+    fn encode<S: JsonSink>(&self, sink: &mut S) {
+        sink.string(self.id());
     }
 }
 
@@ -631,63 +659,77 @@ fn grid_is_rectangular(grid: &GridSweep, _: &Value) -> Result<(), JsonError> {
     Ok(())
 }
 
-/// The opening fragment of a streamed [`GridSweep`] body: every member up
-/// to and including `"ratios":[`. It is followed by
+/// Appends the opening fragment of a streamed [`GridSweep`] body to `out`:
+/// every member up to and including `"ratios":[`. It is followed by
 /// [`grid_stream_rows`] for each block and then [`grid_stream_tail`]; the
 /// fragments concatenate to exactly the buffered body.
 ///
 /// # Errors
 ///
-/// Returns [`JsonError::NonFinite`] for a non-finite coordinate.
-pub fn grid_stream_head(stream: &GridStream) -> Result<String, JsonError> {
-    let head = GridSweep {
+/// Returns [`JsonError::NonFinite`] for a non-finite coordinate; `out` is
+/// then left as it was.
+pub fn grid_stream_head(stream: &GridStream, out: &mut Vec<u8>) -> Result<(), JsonError> {
+    const RATIOS: &[u8] = b"\"ratios\":[";
+    let start = out.len();
+    // The buffered encoding of the grid with no rows yet ends in
+    // `"ratios":[],"fpga_winning_fraction":0}`; the head is that body cut
+    // after the ratios' opening bracket.
+    GridSweep {
         domain: stream.domain(),
         x_axis: stream.x_axis(),
         x_values: stream.x_values().to_vec(),
         y_axis: stream.y_axis(),
         y_values: stream.y_values().to_vec(),
         ratios: Vec::new(),
-    };
-    let Value::Object(mut members) = head.to_json() else {
-        unreachable!("records encode to objects");
-    };
-    let ratios = members
-        .iter()
-        .position(|(key, _)| key == "ratios")
-        .expect("a grid has ratios");
-    members.truncate(ratios);
-    let mut text = Value::Object(members).to_json_string()?;
-    text.pop(); // the closing '}': the object stays open for the rows
-    text.push_str(",\"ratios\":[");
-    Ok(text)
-}
-
-/// One block's rows of a streamed [`GridSweep`] body, comma-separated,
-/// with a leading comma after the grid's first row.
-///
-/// # Errors
-///
-/// Returns [`JsonError::NonFinite`] for a non-finite ratio.
-pub fn grid_stream_rows(block: &GridBlock<'_>) -> Result<String, JsonError> {
-    let mut text = String::new();
-    for row in 0..block.rows() {
-        if block.start_row() + row > 0 {
-            text.push(',');
-        }
-        text.push_str(&Value::Array(block.row(row).map(Value::Number).collect()).to_json_string()?);
     }
-    Ok(text)
+    .write_json(out)?;
+    let cut = out[start..]
+        .windows(RATIOS.len())
+        .rposition(|window| window == RATIOS)
+        .expect("a grid body has ratios");
+    out.truncate(start + cut + RATIOS.len());
+    Ok(())
 }
 
-/// The closing fragment of a streamed [`GridSweep`] body, once every block
-/// was delivered: `],"fpga_winning_fraction":<fraction>}`.
+/// Appends one block's rows of a streamed [`GridSweep`] body to `out`,
+/// comma-separated, with a leading comma after the grid's first row.
 ///
 /// # Errors
 ///
-/// Returns [`JsonError::NonFinite`] for a non-finite fraction.
-pub fn grid_stream_tail(stream: &GridStream) -> Result<String, JsonError> {
-    let fraction = Value::Number(stream.fpga_winning_fraction()).to_json_string()?;
-    Ok(format!("],\"fpga_winning_fraction\":{fraction}}}"))
+/// Returns [`JsonError::NonFinite`] for a non-finite ratio; `out` is then
+/// left as it was.
+pub fn grid_stream_rows(block: &GridBlock<'_>, out: &mut Vec<u8>) -> Result<(), JsonError> {
+    let start = out.len();
+    if block.start_row() > 0 {
+        out.push(b',');
+    }
+    let mut writer = JsonWriter::new(out);
+    for row in 0..block.rows() {
+        writer.begin_array();
+        for ratio in block.row(row) {
+            writer.number(ratio);
+        }
+        writer.end_array();
+    }
+    writer.finish().inspect_err(|_| out.truncate(start))
+}
+
+/// Appends the closing fragment of a streamed [`GridSweep`] body to `out`,
+/// once every block was delivered: `],"fpga_winning_fraction":<fraction>}`.
+///
+/// # Errors
+///
+/// Returns [`JsonError::NonFinite`] for a non-finite fraction; `out` is
+/// then left as it was.
+pub fn grid_stream_tail(stream: &GridStream, out: &mut Vec<u8>) -> Result<(), JsonError> {
+    let start = out.len();
+    out.extend_from_slice(b"],\"fpga_winning_fraction\":");
+    stream
+        .fpga_winning_fraction()
+        .write_json(out)
+        .inspect_err(|_| out.truncate(start))?;
+    out.push(b'}');
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -766,14 +808,15 @@ impl From<ScenarioSpec> for ScenarioRef {
     }
 }
 
-impl ToJson for ScenarioRef {
-    fn to_json(&self) -> Value {
+impl ToJsonMembers for ScenarioRef {
+    fn encode_members<S: JsonSink>(&self, sink: &mut S) {
         match self {
-            ScenarioRef::Inline(spec) => spec.to_json(),
-            ScenarioRef::Catalog { id, knobs } => object([
-                ("id", Value::String(id.clone())),
-                ("knobs", KnobMap::encode(knobs)),
-            ]),
+            ScenarioRef::Inline(spec) => spec.encode_members(sink),
+            ScenarioRef::Catalog { id, knobs } => {
+                sink.member(key!("id"), id);
+                sink.key(key!("knobs"));
+                KnobMap::encode(knobs, sink);
+            }
         }
     }
 }
@@ -831,16 +874,20 @@ pub enum SeriesRef {
 }
 
 impl ToJson for SeriesRef {
-    fn to_json(&self) -> Value {
+    fn encode<S: JsonSink>(&self, sink: &mut S) {
         match self {
-            SeriesRef::Region(name) => Value::String(name.clone()),
-            SeriesRef::Inline(series) => object([
-                (
-                    "points",
-                    Value::Array(series.points().iter().copied().map(Value::Number).collect()),
-                ),
-                ("step_hours", Value::Number(series.step_hours())),
-            ]),
+            SeriesRef::Region(name) => sink.string(name),
+            SeriesRef::Inline(series) => {
+                sink.begin_object();
+                sink.key(key!("points"));
+                sink.begin_array();
+                for &point in series.points() {
+                    sink.number(point);
+                }
+                sink.end_array();
+                sink.member(key!("step_hours"), &series.step_hours());
+                sink.end_object();
+            }
         }
     }
 }
@@ -908,9 +955,9 @@ wire_record! {
 }
 
 /// Encodes a `"platform"` member, omitted when it is the FPGA default.
-fn push_platform(members: &mut Vec<(&'static str, Value)>, platform: OptPlatform) {
+fn encode_platform<S: JsonSink>(platform: OptPlatform, sink: &mut S) {
     if platform != OptPlatform::Fpga {
-        members.push(("platform", platform.to_json()));
+        sink.member(key!("platform"), &platform);
     }
 }
 
@@ -920,7 +967,7 @@ fn decode_platform(value: &Value) -> Result<OptPlatform, JsonError> {
 }
 
 impl ToJson for Objective {
-    fn to_json(&self) -> Value {
+    fn encode<S: JsonSink>(&self, sink: &mut S) {
         let (goal, platform, budget_kg) = match *self {
             Objective::MinTotal(platform) => ("min_total", Some(platform), None),
             Objective::MinOperational(platform) => ("min_operational", Some(platform), None),
@@ -932,14 +979,15 @@ impl ToJson for Objective {
                 budget_kg,
             } => ("budget", Some(platform), Some(budget_kg)),
         };
-        let mut members = vec![("goal", Value::String(goal.to_string()))];
+        sink.begin_object();
+        sink.member(key!("goal"), goal);
         if let Some(platform) = platform {
-            push_platform(&mut members, platform);
+            encode_platform(platform, sink);
         }
         if let Some(budget_kg) = budget_kg {
-            members.push(("budget_kg", Value::Number(budget_kg)));
+            sink.member(key!("budget_kg"), &budget_kg);
         }
-        object(members)
+        sink.end_object();
     }
 }
 
@@ -970,16 +1018,17 @@ impl FromJson for Objective {
 }
 
 impl ToJson for Constraint {
-    fn to_json(&self) -> Value {
+    fn encode<S: JsonSink>(&self, sink: &mut S) {
+        sink.begin_object();
         match *self {
-            Constraint::FpgaWins => object([("kind", Value::String("fpga_wins".to_string()))]),
+            Constraint::FpgaWins => sink.member(key!("kind"), "fpga_wins"),
             Constraint::MaxTotalKg { platform, limit_kg } => {
-                let mut members = vec![("kind", Value::String("max_total_kg".to_string()))];
-                push_platform(&mut members, platform);
-                members.push(("limit_kg", Value::Number(limit_kg)));
-                object(members)
+                sink.member(key!("kind"), "max_total_kg");
+                encode_platform(platform, sink);
+                sink.member(key!("limit_kg"), &limit_kg);
             }
         }
+        sink.end_object();
     }
 }
 
@@ -1783,16 +1832,22 @@ wire_record! {
     }
 }
 
+/// The error body's one member, `"error"`; a server may append more
+/// (its request id) after it.
+impl ToJsonMembers for ApiError {
+    fn encode_members<S: JsonSink>(&self, sink: &mut S) {
+        sink.key(key!("error"));
+        sink.begin_object();
+        sink.member(key!("code"), self.code.id());
+        sink.member(key!("message"), &self.message);
+        sink.member(key!("retryable"), &self.retryable);
+        sink.end_object();
+    }
+}
+
 impl ToJson for ApiError {
-    fn to_json(&self) -> Value {
-        object([(
-            "error",
-            object([
-                ("code", Value::String(self.code.id().to_string())),
-                ("message", Value::String(self.message.clone())),
-                ("retryable", Value::Bool(self.retryable)),
-            ]),
-        )])
+    fn encode<S: JsonSink>(&self, sink: &mut S) {
+        encode_object(self, sink);
     }
 }
 
@@ -1918,6 +1973,15 @@ macro_rules! query_kinds {
             }
         }
 
+        /// The request payload's members, spliced into the envelope.
+        impl ToJsonMembers for Query {
+            fn encode_members<S: JsonSink>(&self, sink: &mut S) {
+                match self {
+                    $( Query::$variant(request) => request.encode_members(sink), )*
+                }
+            }
+        }
+
         /// The result of running a [`Query`] — one variant per query kind,
         /// in the same order. The JSON form is
         /// `{"v": 1, "kind": "<id>", "result": ...}` where `result` is
@@ -1938,8 +2002,25 @@ macro_rules! query_kinds {
             /// The bare result payload — exactly the body the matching
             /// `POST /v1/<kind>` route answers with.
             pub fn result_json(&self) -> Value {
+                ResultOf(self).to_json()
+            }
+
+            /// Appends the bare result payload's compact bytes to `out`
+            /// with no [`Value`] tree: the body the matching route answers
+            /// with, and the same bytes as
+            /// `self.result_json().to_json_string()`.
+            ///
+            /// # Errors
+            ///
+            /// Returns [`JsonError::NonFinite`] for a NaN or infinite number
+            /// in the result; `out` is then left as it was.
+            pub fn write_result(&self, out: &mut Vec<u8>) -> Result<(), JsonError> {
+                ResultOf(self).write_json(out)
+            }
+
+            fn encode_result<S: JsonSink>(&self, sink: &mut S) {
                 match self {
-                    $( Outcome::$variant(response) => response.to_json(), )*
+                    $( Outcome::$variant(response) => response.encode(sink), )*
                 }
             }
         }
@@ -1996,6 +2077,21 @@ impl std::fmt::Display for QueryKind {
     }
 }
 
+/// An outcome's bare result payload.
+struct ResultOf<'a>(&'a Outcome);
+
+impl ToJson for ResultOf<'_> {
+    fn encode<S: JsonSink>(&self, sink: &mut S) {
+        self.0.encode_result(sink);
+    }
+}
+
+/// Writes the `"v"`/`"kind"` envelope members.
+fn encode_envelope<S: JsonSink>(kind: QueryKind, sink: &mut S) {
+    sink.member(key!("v"), &API_VERSION);
+    sink.member(key!("kind"), kind.id());
+}
+
 /// Reads and validates the `"v"`/`"kind"` envelope members.
 fn decode_envelope(value: &Value) -> Result<QueryKind, JsonError> {
     let version = value.member::<Option<u64>>("v")?.unwrap_or(API_VERSION);
@@ -2011,22 +2107,11 @@ fn decode_envelope(value: &Value) -> Result<QueryKind, JsonError> {
 }
 
 impl ToJson for Query {
-    fn to_json(&self) -> Value {
-        let mut members = vec![
-            ("v".to_string(), Value::Number(API_VERSION as f64)),
-            (
-                "kind".to_string(),
-                Value::String(self.kind().id().to_string()),
-            ),
-        ];
-        match self.request_body() {
-            Value::Object(body) => members.extend(body),
-            // `from_json` decodes the flat object, so a non-object body
-            // could never round-trip — fail loudly instead of emitting an
-            // envelope the decoder rejects.
-            _ => unreachable!("request bodies serialize to objects"),
-        }
-        Value::Object(members)
+    fn encode<S: JsonSink>(&self, sink: &mut S) {
+        sink.begin_object();
+        encode_envelope(self.kind(), sink);
+        self.encode_members(sink);
+        sink.end_object();
     }
 }
 
@@ -2037,12 +2122,12 @@ impl FromJson for Query {
 }
 
 impl ToJson for Outcome {
-    fn to_json(&self) -> Value {
-        object([
-            ("v", Value::Number(API_VERSION as f64)),
-            ("kind", Value::String(self.kind().id().to_string())),
-            ("result", self.result_json()),
-        ])
+    fn encode<S: JsonSink>(&self, sink: &mut S) {
+        sink.begin_object();
+        encode_envelope(self.kind(), sink);
+        sink.key(key!("result"));
+        self.encode_result(sink);
+        sink.end_object();
     }
 }
 

@@ -48,12 +48,6 @@ impl Domain {
         self.wire_id()
     }
 
-    /// Resolves a machine-readable identifier (or common alias) back to its
-    /// domain.
-    pub fn parse_id(id: &str) -> Option<Domain> {
-        Domain::from_wire_id(&id.to_ascii_lowercase())
-    }
-
     /// Iso-performance ratios from Table 2 of the paper.
     pub fn iso_performance_ratios(self) -> IsoPerformanceRatios {
         match self {

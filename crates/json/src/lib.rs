@@ -2,8 +2,8 @@
 //!
 //! A small, real JSON subsystem for the offline GreenFPGA workspace: a
 //! [`Value`] tree, a recursive-descent parser with depth and size limits
-//! ([`parse`], [`parse_with`]), and a writer whose `f64` rendering
-//! round-trips bit-for-bit ([`Value::to_json_string`]).
+//! ([`parse`], [`parse_with`]), and a byte writer ([`JsonWriter`]) whose
+//! `f64` rendering round-trips bit-for-bit.
 //!
 //! The workspace has no registry dependencies, so every machine-readable
 //! artifact — bench metrics, the `bench_gate` baseline, and the
@@ -24,15 +24,28 @@
 //!    comments, no unquoted keys. Numbers that overflow `f64` are rejected
 //!    rather than silently becoming infinite.
 //!
+//! ## One encoder, two outputs
+//!
+//! A type encodes by walking itself once into a [`JsonSink`]
+//! ([`ToJson::encode`]). There are two sinks: [`JsonWriter`] appends bytes
+//! to a reused `Vec<u8>` (the serving path, [`ToJson::write_json`]), and a
+//! private builder assembles a [`Value`] ([`ToJson::to_json`]). The same
+//! walk drives both, so the two outputs cannot disagree, and
+//! [`Value::to_json_string`] is itself the [`Value`] walk into a
+//! [`JsonWriter`]: number and string formatting live in one place.
+//!
 //! ## Example
 //!
 //! ```
-//! use gf_json::{parse, Value};
+//! use gf_json::{parse, ToJson, Value};
 //!
 //! let value = parse(r#"{"domain": "dnn", "points": [1, 2.5e0]}"#)?;
 //! assert_eq!(value.get("domain").and_then(Value::as_str), Some("dnn"));
 //! let back = parse(&value.to_json_string()?)?;
 //! assert_eq!(back, value);
+//! let mut bytes = Vec::new();
+//! value.write_json(&mut bytes)?;
+//! assert_eq!(bytes, value.to_json_string()?.as_bytes());
 //! # Ok::<(), gf_json::JsonError>(())
 //! ```
 
@@ -45,6 +58,7 @@ mod write;
 use std::fmt;
 
 pub use parse::{parse, parse_with, ParseLimits};
+pub use write::JsonWriter;
 
 /// A JSON document: the result of parsing, and the input to writing.
 ///
@@ -327,10 +341,130 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
-/// Serialization to a JSON [`Value`].
+/// Receives one JSON document as a stream of tokens: the target of every
+/// encoder's walk ([`ToJson::encode`]). [`JsonWriter`] writes the tokens as
+/// bytes; the builder behind [`ToJson::to_json`] assembles a [`Value`].
+///
+/// A walk is well-formed JSON: every `begin_*` has its `end_*`, and inside
+/// an object each value follows a key.
+pub trait JsonSink {
+    /// `null`.
+    fn null(&mut self);
+    /// `true` or `false`.
+    fn bool(&mut self, value: bool);
+    /// A number. NaN and ±∞ have no JSON lexeme: the byte writer fails
+    /// with [`JsonError::NonFinite`] at [`JsonWriter::finish`].
+    fn number(&mut self, value: f64);
+    /// A string, escaped as needed.
+    fn string(&mut self, value: &str);
+    /// Opens an object.
+    fn begin_object(&mut self);
+    /// An object key known at compile time (see [`key!`]).
+    fn key(&mut self, key: Key);
+    /// An object key known only at run time, escaped as needed.
+    fn key_str(&mut self, key: &str);
+    /// Closes the innermost object.
+    fn end_object(&mut self);
+    /// Opens an array.
+    fn begin_array(&mut self);
+    /// Closes the innermost array.
+    fn end_array(&mut self);
+
+    /// An object member: `key`, then `value`'s walk.
+    fn member<T: ToJson + ?Sized>(&mut self, key: Key, value: &T)
+    where
+        Self: Sized,
+    {
+        self.key(key);
+        value.encode(self);
+    }
+}
+
+/// An object key known when the program is compiled, stored ready to copy:
+/// quoted and followed by its colon (`"design_kg":`). Build one with
+/// [`key!`], which checks at compile time that the name needs no escaping.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Key(&'static str);
+
+impl Key {
+    /// Wraps a quoted key with its colon, e.g. `"\"design_kg\":"`.
+    ///
+    /// # Panics
+    ///
+    /// Panics (at compile time when called from [`key!`]) unless `quoted`
+    /// is a `"`-quoted name followed by `:` whose name holds no `"`, `\`
+    /// or control character.
+    pub const fn new(quoted: &'static str) -> Key {
+        let bytes = quoted.as_bytes();
+        let len = bytes.len();
+        assert!(
+            len >= 3 && bytes[0] == b'"' && bytes[len - 2] == b'"' && bytes[len - 1] == b':',
+            "a key is a quoted name followed by a colon"
+        );
+        let mut i = 1;
+        while i < len - 2 {
+            assert!(
+                bytes[i] >= 0x20 && bytes[i] != b'"' && bytes[i] != b'\\',
+                "a static key must need no escaping"
+            );
+            i += 1;
+        }
+        Key(quoted)
+    }
+
+    /// The key's name, without quotes or colon.
+    fn name(self) -> &'static str {
+        &self.0[1..self.0.len() - 2]
+    }
+
+    /// The bytes the writer copies: `"name":`.
+    fn quoted(self) -> &'static str {
+        self.0
+    }
+}
+
+/// A [`Key`] from a string literal, checked and quoted at compile time:
+/// `key!("design_kg")` is the key written as `"design_kg":`.
+#[macro_export]
+macro_rules! key {
+    ($name:literal) => {
+        const { $crate::Key::new(concat!("\"", $name, "\":")) }
+    };
+}
+
+/// Serialization to JSON: one walk ([`ToJson::encode`]) from which both the
+/// [`Value`] form and the byte form derive.
 pub trait ToJson {
+    /// Walks `self` into `sink`, token by token.
+    fn encode<S: JsonSink>(&self, sink: &mut S);
+
     /// Renders `self` as a JSON value.
-    fn to_json(&self) -> Value;
+    fn to_json(&self) -> Value {
+        let mut builder = ValueBuilder::default();
+        self.encode(&mut builder);
+        builder.finish()
+    }
+
+    /// Appends the compact JSON bytes of `self` to `out` — the same bytes
+    /// as `self.to_json().to_json_string()`, without the [`Value`] tree.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`JsonError::NonFinite`] for a NaN or infinite number; `out`
+    /// is then left as it was.
+    fn write_json(&self, out: &mut Vec<u8>) -> Result<(), JsonError> {
+        let mut writer = JsonWriter::new(out);
+        self.encode(&mut writer);
+        writer.finish()
+    }
+}
+
+/// A type encoded as a JSON object whose members can also be written on
+/// their own, spliced into an enclosing object (flattened request members,
+/// the query envelope, an error body with a request id appended).
+pub trait ToJsonMembers {
+    /// Walks the object's members (keys and values, no braces) into `sink`.
+    fn encode_members<S: JsonSink>(&self, sink: &mut S);
 }
 
 /// Deserialization from a JSON [`Value`].
@@ -358,9 +492,112 @@ pub trait FromJson: Sized {
     }
 }
 
-impl ToJson for f64 {
+/// Assembles a [`Value`] from a sink walk: the `to_json` half of every
+/// encoder.
+#[derive(Default)]
+struct ValueBuilder {
+    /// Open containers, innermost last; an object holds its pending key.
+    open: Vec<(Value, String)>,
+    root: Option<Value>,
+}
+
+impl ValueBuilder {
+    fn push(&mut self, value: Value) {
+        match self.open.last_mut() {
+            Some((Value::Array(items), _)) => items.push(value),
+            Some((Value::Object(members), key)) => members.push((std::mem::take(key), value)),
+            _ => self.root = Some(value),
+        }
+    }
+
+    fn close(&mut self) {
+        if let Some((container, _)) = self.open.pop() {
+            self.push(container);
+        }
+    }
+
+    fn finish(self) -> Value {
+        self.root.unwrap_or(Value::Null)
+    }
+}
+
+impl JsonSink for ValueBuilder {
+    fn null(&mut self) {
+        self.push(Value::Null);
+    }
+
+    fn bool(&mut self, value: bool) {
+        self.push(Value::Bool(value));
+    }
+
+    fn number(&mut self, value: f64) {
+        self.push(Value::Number(value));
+    }
+
+    fn string(&mut self, value: &str) {
+        self.push(Value::String(value.to_string()));
+    }
+
+    fn begin_object(&mut self) {
+        self.open.push((Value::Object(Vec::new()), String::new()));
+    }
+
+    fn key(&mut self, key: Key) {
+        self.key_str(key.name());
+    }
+
+    fn key_str(&mut self, key: &str) {
+        if let Some((_, pending)) = self.open.last_mut() {
+            key.clone_into(pending);
+        }
+    }
+
+    fn end_object(&mut self) {
+        self.close();
+    }
+
+    fn begin_array(&mut self) {
+        self.open.push((Value::Array(Vec::new()), String::new()));
+    }
+
+    fn end_array(&mut self) {
+        self.close();
+    }
+}
+
+impl ToJson for Value {
+    fn encode<S: JsonSink>(&self, sink: &mut S) {
+        match self {
+            Value::Null => sink.null(),
+            Value::Bool(b) => sink.bool(*b),
+            Value::Number(n) => sink.number(*n),
+            Value::String(s) => sink.string(s),
+            Value::Array(items) => {
+                sink.begin_array();
+                for item in items {
+                    item.encode(sink);
+                }
+                sink.end_array();
+            }
+            Value::Object(members) => {
+                sink.begin_object();
+                for (key, member) in members {
+                    sink.key_str(key);
+                    member.encode(sink);
+                }
+                sink.end_object();
+            }
+        }
+    }
+
     fn to_json(&self) -> Value {
-        Value::Number(*self)
+        self.clone()
+    }
+}
+
+impl ToJson for f64 {
+    fn encode<S: JsonSink>(&self, sink: &mut S) {
+        sink.number(*self);
     }
 }
 
@@ -373,8 +610,8 @@ impl FromJson for f64 {
 }
 
 impl ToJson for u64 {
-    fn to_json(&self) -> Value {
-        Value::Number(*self as f64)
+    fn encode<S: JsonSink>(&self, sink: &mut S) {
+        sink.number(*self as f64);
     }
 }
 
@@ -387,8 +624,8 @@ impl FromJson for u64 {
 }
 
 impl ToJson for usize {
-    fn to_json(&self) -> Value {
-        Value::Number(*self as f64)
+    fn encode<S: JsonSink>(&self, sink: &mut S) {
+        sink.number(*self as f64);
     }
 }
 
@@ -401,8 +638,8 @@ impl FromJson for usize {
 }
 
 impl ToJson for bool {
-    fn to_json(&self) -> Value {
-        Value::Bool(*self)
+    fn encode<S: JsonSink>(&self, sink: &mut S) {
+        sink.bool(*self);
     }
 }
 
@@ -414,9 +651,15 @@ impl FromJson for bool {
     }
 }
 
+impl ToJson for str {
+    fn encode<S: JsonSink>(&self, sink: &mut S) {
+        sink.string(self);
+    }
+}
+
 impl ToJson for String {
-    fn to_json(&self) -> Value {
-        Value::String(self.clone())
+    fn encode<S: JsonSink>(&self, sink: &mut S) {
+        sink.string(self);
     }
 }
 
@@ -430,8 +673,12 @@ impl FromJson for String {
 }
 
 impl<T: ToJson> ToJson for Vec<T> {
-    fn to_json(&self) -> Value {
-        Value::Array(self.iter().map(ToJson::to_json).collect())
+    fn encode<S: JsonSink>(&self, sink: &mut S) {
+        sink.begin_array();
+        for item in self {
+            item.encode(sink);
+        }
+        sink.end_array();
     }
 }
 
@@ -449,8 +696,11 @@ impl<T: FromJson> FromJson for Vec<T> {
 /// `None` encodes as `null`; a record that leaves the member out when it
 /// is `None` decides that itself.
 impl<T: ToJson> ToJson for Option<T> {
-    fn to_json(&self) -> Value {
-        self.as_ref().map_or(Value::Null, ToJson::to_json)
+    fn encode<S: JsonSink>(&self, sink: &mut S) {
+        match self {
+            Some(value) => value.encode(sink),
+            None => sink.null(),
+        }
     }
 }
 
@@ -585,6 +835,20 @@ mod tests {
         assert_eq!(usize::from_json(&Value::Number(24.0)).unwrap(), 24);
         assert_eq!(24usize.to_json(), Value::Number(24.0));
         assert!(usize::from_json(&Value::Number(-1.0)).is_err());
+    }
+
+    #[test]
+    fn static_keys_carry_quotes_and_colon() {
+        let key = key!("design_kg");
+        assert_eq!(key.quoted(), "\"design_kg\":");
+        assert_eq!(key.name(), "design_kg");
+        assert_eq!(key!("").name(), "");
+    }
+
+    #[test]
+    #[should_panic(expected = "a static key must need no escaping")]
+    fn static_keys_that_need_escaping_are_refused() {
+        let _ = Key::new("\"say \\\"hi\\\"\":");
     }
 
     #[test]

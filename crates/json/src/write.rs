@@ -1,119 +1,328 @@
-//! JSON serialization with round-tripping `f64` output.
+//! The byte writer: JSON straight into a `Vec<u8>`.
 //!
 //! Numbers use Rust's shortest round-trip formatting (`{}` on `f64`), which
 //! guarantees `text.parse::<f64>()` recovers the exact bits that were
-//! written — the property the serving tests golden-match on. Non-finite
-//! numbers are a hard error: JSON has no lexeme for them, and the usual
-//! fallback (emitting `null`) silently breaks round-tripping.
+//! written — the property the serving tests golden-match on. Integral
+//! values below 2⁵³ in magnitude take an integer fast path that prints the
+//! same digits. Non-finite numbers are a hard error: JSON has no lexeme for
+//! them, and the usual fallback (emitting `null`) silently breaks
+//! round-tripping.
 
 use std::fmt::Write as _;
 
-use crate::{JsonError, Value};
+use crate::{JsonError, JsonSink, Key, ToJson, Value};
 
-/// Serializes `value`, compactly or with two-space indentation.
-pub fn to_string(value: &Value, pretty: bool) -> Result<String, JsonError> {
-    let mut out = String::new();
-    write_value(&mut out, value, pretty, 0)?;
-    if pretty {
-        out.push('\n');
-    }
-    Ok(out)
+/// Where the next token goes relative to the ones already written.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Slot {
+    /// First element of a container (or of the document).
+    First,
+    /// After an element: the next one needs a comma.
+    Next,
+    /// After an object key: the member's value follows directly.
+    Value,
 }
 
-fn write_value(
-    out: &mut String,
-    value: &Value,
+/// A [`JsonSink`] that appends compact (or indented) JSON text to a byte
+/// buffer, with no intermediate [`Value`] tree.
+///
+/// Static keys ([`Key`]) are copied in one piece; strings are escaped by
+/// copying runs of bytes that need no escape. Values written one after
+/// another at the top level are comma-separated, so a writer can also emit
+/// the elements of an array whose brackets are written elsewhere (the
+/// streamed grid rows).
+///
+/// A NaN or infinite number is recorded and [`JsonWriter::finish`] fails
+/// with [`JsonError::NonFinite`], truncating the buffer back to where the
+/// writer started.
+///
+/// ```
+/// use gf_json::{key, JsonSink, JsonWriter};
+///
+/// let mut out = Vec::new();
+/// let mut writer = JsonWriter::new(&mut out);
+/// writer.begin_object();
+/// writer.key(key!("design_kg"));
+/// writer.number(1250.0);
+/// writer.key(key!("note"));
+/// writer.string("say \"hi\"");
+/// writer.end_object();
+/// writer.finish()?;
+/// assert_eq!(out, br#"{"design_kg":1250,"note":"say \"hi\""}"#);
+/// # Ok::<(), gf_json::JsonError>(())
+/// ```
+#[derive(Debug)]
+pub struct JsonWriter<'a> {
+    out: &'a mut Vec<u8>,
+    start: usize,
+    slot: Slot,
+    depth: usize,
     pretty: bool,
-    indent: usize,
-) -> Result<(), JsonError> {
-    match value {
-        Value::Null => out.push_str("null"),
-        Value::Bool(true) => out.push_str("true"),
-        Value::Bool(false) => out.push_str("false"),
-        Value::Number(n) => {
-            if !n.is_finite() {
-                return Err(JsonError::NonFinite);
-            }
-            // Rust's f64 Display is the shortest decimal string that parses
-            // back to the same bits; "-0" and integral values like "5" are
-            // all valid JSON number lexemes.
-            let _ = write!(out, "{n}");
-        }
-        Value::String(s) => write_string(out, s),
-        Value::Array(items) => {
-            if items.is_empty() {
-                out.push_str("[]");
-                return Ok(());
-            }
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                if pretty {
-                    newline_indent(out, indent + 1);
-                }
-                write_value(out, item, pretty, indent + 1)?;
-            }
-            if pretty {
-                newline_indent(out, indent);
-            }
-            out.push(']');
-        }
-        Value::Object(members) => {
-            if members.is_empty() {
-                out.push_str("{}");
-                return Ok(());
-            }
-            out.push('{');
-            for (i, (key, member)) in members.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                if pretty {
-                    newline_indent(out, indent + 1);
-                }
-                write_string(out, key);
-                out.push(':');
-                if pretty {
-                    out.push(' ');
-                }
-                write_value(out, member, pretty, indent + 1)?;
-            }
-            if pretty {
-                newline_indent(out, indent);
-            }
-            out.push('}');
-        }
-    }
-    Ok(())
+    non_finite: bool,
 }
 
-fn newline_indent(out: &mut String, indent: usize) {
-    out.push('\n');
-    for _ in 0..indent {
-        out.push_str("  ");
+impl<'a> JsonWriter<'a> {
+    /// A compact writer appending to `out`.
+    pub fn new(out: &'a mut Vec<u8>) -> JsonWriter<'a> {
+        JsonWriter {
+            start: out.len(),
+            out,
+            slot: Slot::First,
+            depth: 0,
+            pretty: false,
+            non_finite: false,
+        }
+    }
+
+    /// A writer indenting by two spaces per level, with `": "` after keys.
+    fn pretty(out: &'a mut Vec<u8>) -> JsonWriter<'a> {
+        JsonWriter {
+            pretty: true,
+            ..JsonWriter::new(out)
+        }
+    }
+
+    /// Ends the document.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`JsonError::NonFinite`] when a NaN or infinite number was
+    /// written; the buffer is then truncated to its length at
+    /// [`JsonWriter::new`].
+    pub fn finish(self) -> Result<(), JsonError> {
+        if self.non_finite {
+            self.out.truncate(self.start);
+            return Err(JsonError::NonFinite);
+        }
+        Ok(())
+    }
+
+    /// Writes the separator (and, when pretty, the line break and indent)
+    /// that precedes an element or a key.
+    fn prefix(&mut self) {
+        match self.slot {
+            Slot::Value => {}
+            Slot::Next => {
+                self.out.push(b',');
+                self.newline();
+            }
+            Slot::First => {
+                if self.depth > 0 {
+                    self.newline();
+                }
+            }
+        }
+    }
+
+    fn newline(&mut self) {
+        if self.pretty {
+            self.out.push(b'\n');
+            for _ in 0..self.depth {
+                self.out.extend_from_slice(b"  ");
+            }
+        }
+    }
+
+    fn open(&mut self, bracket: u8) {
+        self.prefix();
+        self.out.push(bracket);
+        self.depth += 1;
+        self.slot = Slot::First;
+    }
+
+    fn close(&mut self, bracket: u8) {
+        self.depth = self.depth.saturating_sub(1);
+        if self.slot == Slot::Next {
+            self.newline();
+        }
+        self.out.push(bracket);
+        self.slot = Slot::Next;
+    }
+
+    fn scalar(&mut self, bytes: &[u8]) {
+        self.prefix();
+        self.out.extend_from_slice(bytes);
+        self.slot = Slot::Next;
+    }
+
+    fn colon(&mut self) {
+        if self.pretty {
+            self.out.push(b' ');
+        }
+        self.slot = Slot::Value;
     }
 }
 
-fn write_string(out: &mut String, s: &str) {
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\u{0008}' => out.push_str("\\b"),
-            '\u{000c}' => out.push_str("\\f"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
+impl JsonSink for JsonWriter<'_> {
+    fn null(&mut self) {
+        self.scalar(b"null");
     }
-    out.push('"');
+
+    fn bool(&mut self, value: bool) {
+        self.scalar(if value { b"true" } else { b"false" });
+    }
+
+    fn number(&mut self, value: f64) {
+        self.prefix();
+        if !write_number(self.out, value) {
+            self.non_finite = true;
+        }
+        self.slot = Slot::Next;
+    }
+
+    fn string(&mut self, value: &str) {
+        self.prefix();
+        write_string(self.out, value);
+        self.slot = Slot::Next;
+    }
+
+    fn begin_object(&mut self) {
+        self.open(b'{');
+    }
+
+    fn key(&mut self, key: Key) {
+        self.prefix();
+        self.out.extend_from_slice(key.quoted().as_bytes());
+        self.colon();
+    }
+
+    fn key_str(&mut self, key: &str) {
+        self.prefix();
+        write_string(self.out, key);
+        self.out.push(b':');
+        self.colon();
+    }
+
+    fn end_object(&mut self) {
+        self.close(b'}');
+    }
+
+    fn begin_array(&mut self) {
+        self.open(b'[');
+    }
+
+    fn end_array(&mut self) {
+        self.close(b']');
+    }
+}
+
+/// Serializes `value`, compactly or with two-space indentation and a
+/// trailing newline.
+pub(crate) fn to_string(value: &Value, pretty: bool) -> Result<String, JsonError> {
+    let mut out = Vec::new();
+    let mut writer = if pretty {
+        JsonWriter::pretty(&mut out)
+    } else {
+        JsonWriter::new(&mut out)
+    };
+    value.encode(&mut writer);
+    writer.finish()?;
+    if pretty {
+        out.push(b'\n');
+    }
+    Ok(String::from_utf8(out).expect("the writer emits UTF-8: escaped &str input and ASCII"))
+}
+
+/// Integers up to this magnitude are exact in `f64`, so they print as
+/// plain digits (2⁵³).
+const EXACT_INTEGER: f64 = 9_007_199_254_740_992.0;
+
+/// `"00" "01" … "99"`: two decimal digits per lookup.
+const DIGIT_PAIRS: [u8; 200] = {
+    let mut table = [0u8; 200];
+    let mut i = 0;
+    while i < 100 {
+        table[2 * i] = b'0' + (i / 10) as u8;
+        table[2 * i + 1] = b'0' + (i % 10) as u8;
+        i += 1;
+    }
+    table
+};
+
+/// Appends the shortest round-trip form of `n` — the digits Rust's `f64`
+/// `Display` prints — or returns `false` for NaN and ±∞, writing nothing.
+fn write_number(out: &mut Vec<u8>, n: f64) -> bool {
+    if n.fract() == 0.0 && n.abs() < EXACT_INTEGER {
+        if n == 0.0 && n.is_sign_negative() {
+            out.extend_from_slice(b"-0");
+        } else {
+            write_integer(out, n as i64);
+        }
+    } else if n.is_finite() {
+        let _ = write!(Bytes(out), "{n}");
+    } else {
+        return false;
+    }
+    true
+}
+
+fn write_integer(out: &mut Vec<u8>, n: i64) {
+    let mut buf = [0u8; 20];
+    let mut pos = buf.len();
+    let mut rest = n.unsigned_abs();
+    while rest >= 100 {
+        let pair = (rest % 100) as usize * 2;
+        rest /= 100;
+        pos -= 2;
+        buf[pos..pos + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    }
+    if rest >= 10 {
+        let pair = rest as usize * 2;
+        pos -= 2;
+        buf[pos..pos + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    } else {
+        pos -= 1;
+        buf[pos] = b'0' + rest as u8;
+    }
+    if n < 0 {
+        pos -= 1;
+        buf[pos] = b'-';
+    }
+    out.extend_from_slice(&buf[pos..]);
+}
+
+/// `fmt::Write` onto a byte buffer, for `f64` `Display`.
+struct Bytes<'a>(&'a mut Vec<u8>);
+
+impl std::fmt::Write for Bytes<'_> {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.0.extend_from_slice(s.as_bytes());
+        Ok(())
+    }
+}
+
+/// Appends `s` as a quoted JSON string. Runs of bytes that need no escape
+/// (everything but `"`, `\` and U+0000–U+001F; non-ASCII passes through)
+/// are copied in one piece.
+fn write_string(out: &mut Vec<u8>, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let bytes = s.as_bytes();
+    out.push(b'"');
+    let mut run = 0;
+    for (i, &byte) in bytes.iter().enumerate() {
+        let short: &[u8] = match byte {
+            b'"' => b"\\\"",
+            b'\\' => b"\\\\",
+            0x08 => b"\\b",
+            0x0c => b"\\f",
+            b'\n' => b"\\n",
+            b'\r' => b"\\r",
+            b'\t' => b"\\t",
+            0..=0x1f => &[],
+            _ => continue,
+        };
+        out.extend_from_slice(&bytes[run..i]);
+        if short.is_empty() {
+            out.extend_from_slice(b"\\u00");
+            out.push(HEX[usize::from(byte >> 4)]);
+            out.push(HEX[usize::from(byte & 0xf)]);
+        } else {
+            out.extend_from_slice(short);
+        }
+        run = i + 1;
+    }
+    out.extend_from_slice(&bytes[run..]);
+    out.push(b'"');
 }
 
 #[cfg(test)]
@@ -140,8 +349,10 @@ mod tests {
     fn pretty_output_is_indented_and_parseable() {
         let doc = object([("k", array([1.0, 2.0])), ("m", array::<f64>([]))]);
         let pretty = doc.to_json_string_pretty().unwrap();
-        assert!(pretty.contains("\n  \"k\": ["));
-        assert!(pretty.ends_with("}\n"));
+        assert_eq!(
+            pretty,
+            "{\n  \"k\": [\n    1,\n    2\n  ],\n  \"m\": []\n}\n"
+        );
         assert_eq!(parse(&pretty).unwrap(), doc);
     }
 
@@ -166,6 +377,12 @@ mod tests {
                 JsonError::NonFinite
             );
         }
+        // A failed write leaves the buffer as it found it.
+        let mut out = b"kept".to_vec();
+        let mut writer = JsonWriter::new(&mut out);
+        array([1.0, f64::NAN, 2.0]).encode(&mut writer);
+        assert_eq!(writer.finish(), Err(JsonError::NonFinite));
+        assert_eq!(out, b"kept");
     }
 
     #[test]
@@ -187,5 +404,15 @@ mod tests {
             let back = parse(&text).unwrap().as_f64().unwrap();
             assert_eq!(back.to_bits(), n.to_bits(), "{n} -> {text}");
         }
+    }
+
+    #[test]
+    fn top_level_values_are_comma_separated() {
+        let mut out = Vec::new();
+        let mut writer = JsonWriter::new(&mut out);
+        array([1.0]).encode(&mut writer);
+        array([2.5, 3.0]).encode(&mut writer);
+        writer.finish().unwrap();
+        assert_eq!(out, b"[1],[2.5,3]");
     }
 }

@@ -1,0 +1,154 @@
+//! The byte writer checked against independent oracles.
+//!
+//! Numbers are compared with `format!("{}", x)` — the standard library's
+//! shortest round-trip `f64` `Display`, not the code under test — on edge
+//! values, on integers around the 2⁵³ fast-path bound, and on a million
+//! seeded bit patterns. Strings are compared with a char-by-char reference
+//! escaper that states the escaping rules on its own.
+
+use gf_json::{JsonError, JsonSink, JsonWriter, ToJson, Value};
+use gf_support::SplitMix64;
+
+/// Seeded finite bit patterns checked against `Display`.
+const RANDOM_PATTERNS: usize = 1_000_000;
+
+/// The writer's bytes for one number.
+fn written(out: &mut Vec<u8>, x: f64) -> &str {
+    out.clear();
+    let mut writer = JsonWriter::new(out);
+    writer.number(x);
+    writer.finish().expect("finite numbers write");
+    std::str::from_utf8(out).expect("numbers are ASCII")
+}
+
+#[test]
+fn numbers_match_std_display_on_edge_values() {
+    const TWO_53: f64 = 9_007_199_254_740_992.0;
+    let mut out = Vec::new();
+    let mut edges = vec![
+        0.0,
+        1.0,
+        TWO_53 - 1.0,
+        TWO_53,
+        TWO_53 + 2.0,
+        1e15,
+        1e16,
+        1e21,
+        1e-7,
+        f64::MIN_POSITIVE,
+        5e-324,
+        f64::MAX,
+        0.5,
+        123_456.789,
+        4_503_599_627_370_495.5, // 2^52 - 0.5: from 2^52 up, every f64 is an integer
+    ];
+    edges.extend(edges.clone().into_iter().map(|x| -x));
+    for x in edges {
+        assert_eq!(written(&mut out, x), format!("{x}"), "{x:e}");
+    }
+    assert_eq!(written(&mut out, -0.0), "-0");
+}
+
+#[test]
+fn numbers_match_std_display_on_seeded_bit_patterns() {
+    let mut rng = SplitMix64::new(0x0BAC_1E57_0000_F64D);
+    let mut out = Vec::new();
+    let mut checked = 0;
+    while checked < RANDOM_PATTERNS {
+        let x = f64::from_bits(rng.next_u64());
+        if !x.is_finite() {
+            continue;
+        }
+        assert_eq!(
+            written(&mut out, x),
+            format!("{x}"),
+            "bits {:#018x}",
+            x.to_bits()
+        );
+        checked += 1;
+    }
+    // Random bit patterns are almost never integral; cover the integer
+    // fast path and its bound separately.
+    for _ in 0..100_000 {
+        let magnitude = rng.gen_range_u64(0, 1 << 54) as f64;
+        let x = if rng.gen_bool() {
+            -magnitude
+        } else {
+            magnitude
+        };
+        assert_eq!(written(&mut out, x), format!("{x}"), "{x}");
+    }
+}
+
+#[test]
+fn non_finite_numbers_fail_the_write() {
+    for bad in [f64::NAN, -f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        let mut out = Vec::new();
+        let mut writer = JsonWriter::new(&mut out);
+        writer.number(bad);
+        assert_eq!(writer.finish(), Err(JsonError::NonFinite), "{bad}");
+        assert!(out.is_empty());
+        assert_eq!(bad.write_json(&mut out), Err(JsonError::NonFinite));
+    }
+}
+
+/// The escaping rules, one char at a time: `"` and `\` get a backslash,
+/// the five C escapes have their short forms, every other char below
+/// U+0020 is `\u00xx` in lowercase hex, and everything else (non-ASCII
+/// included) is copied.
+fn reference_escape(s: &str) -> String {
+    let mut out = String::from("\"");
+    for ch in s.chars() {
+        match ch {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\u{0008}' => out.push_str("\\b"),
+            '\u{000c}' => out.push_str("\\f"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
+}
+
+fn written_string(s: &str) -> String {
+    let mut out = Vec::new();
+    let mut writer = JsonWriter::new(&mut out);
+    writer.string(s);
+    writer.finish().expect("strings always write");
+    String::from_utf8(out).expect("escaped output is UTF-8")
+}
+
+#[test]
+fn strings_escape_like_the_reference_rules() {
+    let mut cases: Vec<String> = (0u8..0x20).map(|b| char::from(b).to_string()).collect();
+    cases.extend(
+        [
+            "",
+            "\"",
+            "\\",
+            "plain ascii",
+            "\u{7f} del stays",
+            "é→ü ∑ 日本語 \u{1f600}",
+            "run \"quoted\" then \\ and\ttab\u{1}\u{1f} end",
+            "\u{0}\u{0}",
+            "trailing\n",
+        ]
+        .map(str::to_string),
+    );
+    let every_control: String = (0u8..0x20).map(char::from).collect();
+    cases.push(format!("a{every_control}\"\\é{every_control}z"));
+    for case in &cases {
+        assert_eq!(written_string(case), reference_escape(case), "{case:?}");
+    }
+    // Keys known only at run time escape the same way.
+    for case in &cases {
+        let value = Value::Object(vec![(case.clone(), Value::Null)]);
+        let expected = format!("{{{}:null}}", reference_escape(case));
+        assert_eq!(value.to_json_string().unwrap(), expected, "{case:?}");
+    }
+}

@@ -282,7 +282,7 @@ pub(crate) const CONTINUE_RESPONSE: &[u8] = b"HTTP/1.1 100 Continue\r\n\r\n";
 pub(crate) fn encode_response(
     out: &mut Vec<u8>,
     status: u16,
-    body: &str,
+    body: &[u8],
     keep_alive: bool,
     retry_after_secs: Option<u32>,
     request_id: u64,
@@ -300,7 +300,7 @@ pub(crate) fn encode_response(
         let _ = write!(out, "Retry-After: {seconds}\r\n");
     }
     out.extend_from_slice(b"\r\n");
-    out.extend_from_slice(body.as_bytes());
+    out.extend_from_slice(body);
 }
 
 /// Appends one `text/plain` response to `out` — the Prometheus exposition
@@ -309,7 +309,7 @@ pub(crate) fn encode_response(
 pub(crate) fn encode_text_response(
     out: &mut Vec<u8>,
     status: u16,
-    body: &str,
+    body: &[u8],
     keep_alive: bool,
     request_id: u64,
 ) {
@@ -321,7 +321,7 @@ pub(crate) fn encode_text_response(
         "HTTP/1.1 {status} {reason}\r\nContent-Type: text/plain; version=0.0.4; charset=utf-8\r\nContent-Length: {}\r\nConnection: {connection}\r\nx-request-id: {request_id:016x}\r\n\r\n",
         body.len()
     );
-    out.extend_from_slice(body.as_bytes());
+    out.extend_from_slice(body);
 }
 
 /// Appends the head of a streamed `application/json` response: status line
@@ -531,13 +531,13 @@ mod tests {
     #[test]
     fn retry_after_header_is_emitted_on_demand() {
         let mut out = Vec::new();
-        encode_response(&mut out, 503, "{}", false, Some(2), 0);
+        encode_response(&mut out, 503, b"{}", false, Some(2), 0);
         let text = String::from_utf8(out).unwrap();
         assert!(text.starts_with("HTTP/1.1 503 Service Unavailable\r\n"));
         assert!(text.contains("Retry-After: 2\r\n"));
         assert!(text.ends_with("\r\n\r\n{}"));
         let mut out = Vec::new();
-        encode_response(&mut out, 200, "{}", true, None, 0);
+        encode_response(&mut out, 200, b"{}", true, None, 0);
         assert!(!String::from_utf8(out).unwrap().contains("Retry-After"));
     }
 
@@ -546,11 +546,11 @@ mod tests {
         // Fixed width keeps response byte lengths independent of the id, so
         // byte-exact transport tests only have to mask, never re-measure.
         let mut short = Vec::new();
-        encode_response(&mut short, 200, "{}", true, None, 0x2a);
+        encode_response(&mut short, 200, b"{}", true, None, 0x2a);
         let text = String::from_utf8(short.clone()).unwrap();
         assert!(text.contains("x-request-id: 000000000000002a\r\n"));
         let mut long = Vec::new();
-        encode_response(&mut long, 200, "{}", true, None, u64::MAX);
+        encode_response(&mut long, 200, b"{}", true, None, u64::MAX);
         assert!(String::from_utf8(long.clone())
             .unwrap()
             .contains("x-request-id: ffffffffffffffff\r\n"));
@@ -565,7 +565,7 @@ mod tests {
     #[test]
     fn text_responses_carry_the_prometheus_content_type() {
         let mut out = Vec::new();
-        encode_text_response(&mut out, 200, "gf_up 1\n", true, 1);
+        encode_text_response(&mut out, 200, b"gf_up 1\n", true, 1);
         let text = String::from_utf8(out).unwrap();
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"));
         assert!(text.contains("Content-Type: text/plain; version=0.0.4; charset=utf-8\r\n"));
@@ -733,19 +733,19 @@ mod tests {
     #[test]
     fn responses_have_framing_headers() {
         let mut out = Vec::new();
-        encode_response(&mut out, 200, "{\"ok\":true}", true, None, 0);
+        encode_response(&mut out, 200, br#"{"ok":true}"#, true, None, 0);
         let text = String::from_utf8(out).unwrap();
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"));
         assert!(text.contains("Content-Length: 11\r\n"));
         assert!(text.contains("Connection: keep-alive\r\n"));
         assert!(text.ends_with("\r\n\r\n{\"ok\":true}"));
         let mut out = Vec::new();
-        encode_response(&mut out, 404, "{}", false, None, 0);
+        encode_response(&mut out, 404, b"{}", false, None, 0);
         let text = String::from_utf8(out).unwrap();
         assert!(text.contains("404 Not Found"));
         assert!(text.contains("Connection: close"));
         let mut out = Vec::new();
-        encode_response(&mut out, 408, "{}", false, None, 0);
+        encode_response(&mut out, 408, b"{}", false, None, 0);
         assert!(String::from_utf8(out)
             .unwrap()
             .starts_with("HTTP/1.1 408 Request Timeout\r\n"));

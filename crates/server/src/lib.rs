@@ -198,7 +198,7 @@ const STREAM_CHANNEL_DEPTH: usize = 2;
 struct Response {
     token: u64,
     status: u16,
-    body: String,
+    body: Vec<u8>,
     route: usize,
     started: Instant,
     bytes_in: u64,
@@ -218,7 +218,7 @@ enum Completion {
     StreamStart {
         token: u64,
         /// Opening body fragment (response JSON up to the streamed rows).
-        head: String,
+        head: Vec<u8>,
         /// The worker's fragment channel for the rest of the body.
         rx: std::sync::mpsc::Receiver<StreamEvent>,
         route: usize,
@@ -234,11 +234,11 @@ enum Completion {
 /// One event of a streamed response body.
 pub(crate) enum StreamEvent {
     /// A body fragment to chunk-encode onto the wire.
-    Chunk(String),
+    Chunk(Vec<u8>),
     /// The final fragment; the loop terminates the chunked body after it.
     End {
         /// Response JSON after the streamed rows.
-        tail: String,
+        tail: Vec<u8>,
     },
     /// Unrecoverable mid-stream failure. The status line is already on the
     /// wire, so the loop truncates the chunked body (no terminator) and
@@ -438,6 +438,25 @@ fn arm_deadline(
     }
 }
 
+/// Largest response-body buffer an engine worker keeps between requests. A
+/// bigger body (a buffered million-cell grid) is released after use, so an
+/// idle worker does not pin its peak.
+const WORKER_BODY_RETAIN_BYTES: usize = 1 << 20;
+
+/// Runs `job` with the calling engine worker's response-body scratch,
+/// reused across the offloaded requests it serves.
+fn with_worker_body<R>(job: impl FnOnce(&mut Vec<u8>) -> R) -> R {
+    thread_local! {
+        static BODY: std::cell::RefCell<Vec<u8>> = const { std::cell::RefCell::new(Vec::new()) };
+    }
+    BODY.with_borrow_mut(|body| {
+        let result = job(body);
+        body.clear();
+        body.shrink_to(WORKER_BODY_RETAIN_BYTES);
+        result
+    })
+}
+
 /// Writes one slow-request line to stderr: route, status, total latency
 /// and the per-span breakdown pulled from the trace rings by request id.
 /// Only runs past the `--slow-request-us` floor, so the formatting and the
@@ -477,6 +496,10 @@ struct EventLoop {
     scratch: Vec<u8>,
     /// Result scratch for queries handled inline on the loop.
     buffer: ResultBuffer,
+    /// Response-body scratch for requests answered inline on the loop: the
+    /// body is written here, then copied into the connection's output
+    /// buffer behind its head.
+    body: Vec<u8>,
     /// Receiving half of the worker wakeup channel.
     wake_pipe: UnixStream,
     workers: usize,
@@ -511,6 +534,7 @@ impl EventLoop {
             events: Vec::with_capacity(1024),
             scratch: vec![0u8; 64 << 10],
             buffer: ResultBuffer::new(),
+            body: Vec::new(),
             wake_pipe,
             workers,
             trace_log,
@@ -888,8 +912,9 @@ impl EventLoop {
     /// the next pipelined request's parse span without a fresh clock
     /// read (0 = nothing to hand back: untraced or offloaded).
     fn dispatch(&mut self, token: u64, request: http::Request, exec_start_ticks: u64) -> u64 {
-        let route = routes::route_index(&request.method, &request.path);
-        let offload = routes::offloads(&request.method, &request.path);
+        let route = routes::resolve(&request.method, &request.path);
+        let index = route.as_ref().map_or(usize::MAX, |route| route.index);
+        let offload = route.as_ref().is_ok_and(|route| route.offload);
         let started = Instant::now();
         let bytes_in = request.body.len() as u64;
         let keep_alive = request.keep_alive;
@@ -908,105 +933,114 @@ impl EventLoop {
                 conn.deadline = None; // the engine owes us, the peer owes nothing
             }
         }
-        if offload {
-            let state = Arc::clone(&self.state);
-            let queued_ticks = exec_start_ticks;
-            let queued = self.state.engine.execute_with_buffer(move |buffer| {
-                gf_trace::set_current_request(request_id);
-                // One worker-side read closes the queue wait and opens
-                // the execute span.
-                let claimed_ticks = if queued_ticks != 0 {
-                    let claimed = gf_trace::now_ticks();
-                    gf_trace::record_span_at(
-                        gf_trace::SpanName::QueueWait,
-                        queued_ticks,
-                        claimed.saturating_sub(queued_ticks),
-                        0,
-                    );
-                    claimed
-                } else {
-                    0
-                };
-                let reply = routes::handle_offloaded(&state, buffer, &request, claimed_ticks);
-                match reply {
-                    routes::Reply::Full { status, body } => {
-                        gf_trace::set_current_request(0);
-                        state.complete(Completion::Respond(Response {
-                            token,
-                            status,
+        match route {
+            Ok(route) if route.offload => {
+                let state = Arc::clone(&self.state);
+                let queued_ticks = exec_start_ticks;
+                let queued = self.state.engine.execute_with_buffer(move |buffer| {
+                    gf_trace::set_current_request(request_id);
+                    // One worker-side read closes the queue wait and opens
+                    // the execute span.
+                    let claimed_ticks =
+                        routes::close_span(gf_trace::SpanName::QueueWait, queued_ticks, 0);
+                    with_worker_body(|body| {
+                        match routes::handle_offloaded(
+                            &state,
+                            buffer,
+                            route,
+                            &request,
+                            claimed_ticks,
                             body,
-                            route,
-                            started,
-                            bytes_in,
-                            keep_alive,
-                            request_id,
-                        }));
-                    }
-                    routes::Reply::GridStream { head, stream } => {
-                        let (tx, rx) = std::sync::mpsc::sync_channel(STREAM_CHANNEL_DEPTH);
-                        state.complete(Completion::StreamStart {
-                            token,
-                            head,
-                            rx,
-                            route,
-                            started,
-                            bytes_in,
-                            keep_alive,
-                            request_id,
-                        });
-                        // Blocks on the channel whenever the loop (and
-                        // ultimately the peer) falls behind; returns early
-                        // if the connection dies (the rx drops).
-                        routes::stream_grid_blocks(&state, token, &tx, stream);
-                        gf_trace::set_current_request(0);
-                    }
+                        ) {
+                            routes::Reply::Full { status } => {
+                                gf_trace::set_current_request(0);
+                                state.complete(Completion::Respond(Response {
+                                    token,
+                                    status,
+                                    body: body.clone(),
+                                    route: index,
+                                    started,
+                                    bytes_in,
+                                    keep_alive,
+                                    request_id,
+                                }));
+                            }
+                            routes::Reply::GridStream { stream } => {
+                                let (tx, rx) = std::sync::mpsc::sync_channel(STREAM_CHANNEL_DEPTH);
+                                state.complete(Completion::StreamStart {
+                                    token,
+                                    head: body.clone(),
+                                    rx,
+                                    route: index,
+                                    started,
+                                    bytes_in,
+                                    keep_alive,
+                                    request_id,
+                                });
+                                // Blocks on the channel whenever the loop (and
+                                // ultimately the peer) falls behind; returns
+                                // early if the connection dies (the rx drops).
+                                routes::stream_grid_blocks(&state, token, &tx, stream);
+                                gf_trace::set_current_request(0);
+                            }
+                        }
+                    });
+                });
+                if !queued {
+                    // Only possible racing shutdown: the loop is about to tear
+                    // everything down anyway.
+                    self.close(token);
                 }
-            });
-            if !queued {
-                // Only possible racing shutdown: the loop is about to tear
-                // everything down anyway.
-                self.close(token);
-            }
-            0
-        } else if routes::is_prometheus(&request.method, &request.path) {
-            // The one non-JSON route: rendered here by the transport so
-            // the dispatcher's JSON contract stays uniform.
-            gf_trace::set_current_request(request_id);
-            let body = prometheus::render(&self.state);
-            let end_ticks = if exec_start_ticks != 0 {
-                let end = gf_trace::now_ticks();
-                gf_trace::record_span_at(
-                    gf_trace::SpanName::Execute,
-                    exec_start_ticks,
-                    end.saturating_sub(exec_start_ticks),
-                    0,
-                );
-                end
-            } else {
                 0
-            };
-            gf_trace::set_current_request(0);
-            self.finish_request(
-                token, route, 200, &body, started, bytes_in, keep_alive, request_id, true,
-                end_ticks,
-            )
-        } else {
-            gf_trace::set_current_request(request_id);
-            let (status, body, handled_end) =
-                routes::handle(&self.state, &mut self.buffer, &request, exec_start_ticks);
-            gf_trace::set_current_request(0);
-            self.finish_request(
-                token,
-                route,
-                status,
-                &body,
-                started,
-                bytes_in,
-                keep_alive,
-                request_id,
-                false,
-                handled_end,
-            )
+            }
+            Ok(route) if route.endpoint == routes::Endpoint::Prometheus => {
+                // The one non-JSON route: rendered here by the transport so
+                // the dispatcher's JSON contract stays uniform.
+                gf_trace::set_current_request(request_id);
+                let body = prometheus::render(&self.state);
+                let end_ticks =
+                    routes::close_span(gf_trace::SpanName::Execute, exec_start_ticks, 0);
+                gf_trace::set_current_request(0);
+                self.finish_request(
+                    token,
+                    index,
+                    200,
+                    body.as_bytes(),
+                    started,
+                    bytes_in,
+                    keep_alive,
+                    request_id,
+                    true,
+                    end_ticks,
+                )
+            }
+            route => {
+                gf_trace::set_current_request(request_id);
+                let mut body = std::mem::take(&mut self.body);
+                let (status, handled_end) = routes::handle(
+                    &self.state,
+                    &mut self.buffer,
+                    route,
+                    &request,
+                    exec_start_ticks,
+                    &mut body,
+                );
+                gf_trace::set_current_request(0);
+                let end_ticks = self.finish_request(
+                    token,
+                    index,
+                    status,
+                    &body,
+                    started,
+                    bytes_in,
+                    keep_alive,
+                    request_id,
+                    false,
+                    handled_end,
+                );
+                self.body = body;
+                end_ticks
+            }
         }
     }
 
@@ -1021,7 +1055,7 @@ impl EventLoop {
         token: u64,
         route: usize,
         status: u16,
-        body: &str,
+        body: &[u8],
         started: Instant,
         bytes_in: u64,
         request_keep_alive: bool,
@@ -1284,7 +1318,7 @@ impl EventLoop {
     fn start_stream(
         &mut self,
         token: u64,
-        head: String,
+        head: Vec<u8>,
         rx: std::sync::mpsc::Receiver<StreamEvent>,
         route: usize,
         started: Instant,
@@ -1301,7 +1335,7 @@ impl EventLoop {
             conn.close_after_write = !keep_alive;
             conn.request_id = 0;
             http::encode_stream_head(&mut conn.outbuf, 200, keep_alive, request_id);
-            http::encode_chunk(&mut conn.outbuf, head.as_bytes());
+            http::encode_chunk(&mut conn.outbuf, &head);
             conn.streaming = Some(StreamState {
                 rx,
                 route,
@@ -1344,13 +1378,13 @@ impl EventLoop {
                         if let Some(stream) = conn.streaming.as_mut() {
                             stream.bytes_out += fragment.len() as u64;
                         }
-                        http::encode_chunk(&mut conn.outbuf, fragment.as_bytes());
+                        http::encode_chunk(&mut conn.outbuf, &fragment);
                     }
                     Ok(StreamEvent::End { tail }) => {
                         if let Some(stream) = conn.streaming.as_mut() {
                             stream.bytes_out += tail.len() as u64;
                         }
-                        http::encode_chunk(&mut conn.outbuf, tail.as_bytes());
+                        http::encode_chunk(&mut conn.outbuf, &tail);
                         http::encode_last_chunk(&mut conn.outbuf);
                         finished = conn.streaming.take();
                         conn.state = ConnState::Write;

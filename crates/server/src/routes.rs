@@ -1,26 +1,32 @@
-//! Request routing: JSON in, engine call, JSON out.
+//! Request routing: JSON in, engine call, JSON bytes out.
 //!
 //! The dispatch table ([`route_table`]) is the single source of route
 //! identity: every `/v1/<kind>` entry (method from [`QueryKind::method`],
 //! `POST` for all kinds except the body-less `GET /v1/catalog`) is derived
 //! from [`QueryKind::ALL`], the metrics registry builds its labels from the
-//! same table, and [`route_index`] positions a request against it — so
-//! adding a query kind to the core enum makes it servable *and* metered
-//! with no server-side list to update.
+//! same table, and [`resolve`] looks a request up in it once — so adding a
+//! query kind to the core enum makes it servable *and* metered with no
+//! server-side list to update.
 //!
 //! Every query handler decodes the typed request from [`greenfpga::api`],
 //! runs it through the shared [`greenfpga::Engine`] — the **same**
-//! facade a library user or the CLI calls — and encodes the typed
-//! response, so a served response is bit-identical to a local call by
-//! construction. Failures speak the [`ApiError`] taxonomy, mapped to HTTP
-//! status via [`ApiError::http_status`].
+//! facade a library user or the CLI calls — and writes the typed response
+//! straight into a reused byte buffer ([`Outcome::write_result`]), with no
+//! [`gf_json::Value`] tree in between. The bytes are those of
+//! [`Outcome::result_json`], so a served response is bit-identical to a
+//! local call by construction. Failures speak the [`ApiError`] taxonomy,
+//! mapped to HTTP status via [`ApiError::http_status`].
 
 use std::sync::mpsc::SyncSender;
 use std::sync::OnceLock;
 
-use gf_json::{object, FromJson, ToJson, Value};
-use greenfpga::api::{grid_stream_head, grid_stream_rows, grid_stream_tail, QueryKind};
-use greenfpga::{ApiError, GridRequest, GridStream, ResultBuffer};
+use gf_json::{key, JsonError, JsonSink, JsonWriter, ToJson, ToJsonMembers, Value};
+use gf_trace::SpanName;
+use greenfpga::api::{
+    grid_stream_head, grid_stream_rows, grid_stream_tail, MetricsResponse, Query, QueryKind,
+    TraceResponse,
+};
+use greenfpga::{ApiError, GridStream, Outcome, ResultBuffer};
 
 use crate::http::Request;
 use crate::{Completion, ServerState, StreamEvent};
@@ -51,6 +57,15 @@ pub(crate) struct Route {
     pub path: &'static str,
     /// What it serves.
     pub endpoint: Endpoint,
+    /// Its position in [`route_table`], which is also its metrics-registry
+    /// index.
+    pub index: usize,
+    /// Whether it runs on the worker pool instead of inline on the event
+    /// loop. Point lookups finish in single-digit microseconds — handing
+    /// them to another thread costs more than answering them — while the
+    /// fan-out kinds can burn milliseconds and would stall every other
+    /// connection if they ran on the loop.
+    pub offload: bool,
 }
 
 /// The dispatch table: the observability `GET` endpoints followed by one
@@ -58,162 +73,130 @@ pub(crate) struct Route {
 pub(crate) fn route_table() -> &'static [Route] {
     static TABLE: OnceLock<Vec<Route>> = OnceLock::new();
     TABLE.get_or_init(|| {
-        let mut table = vec![
-            Route {
-                method: "GET",
-                path: "/healthz",
-                endpoint: Endpoint::Healthz,
-            },
-            Route {
-                method: "GET",
-                path: "/v1/metrics",
-                endpoint: Endpoint::Metrics,
-            },
-            Route {
-                method: "GET",
-                path: "/metrics",
-                endpoint: Endpoint::Prometheus,
-            },
-            Route {
-                method: "GET",
-                path: "/v1/trace",
-                endpoint: Endpoint::Trace,
-            },
-        ];
-        table.extend(QueryKind::ALL.into_iter().map(|kind| Route {
-            method: kind.method(),
-            path: kind.path(),
-            endpoint: Endpoint::Query(kind),
-        }));
-        table
+        let observability = [
+            ("/healthz", Endpoint::Healthz),
+            ("/v1/metrics", Endpoint::Metrics),
+            ("/metrics", Endpoint::Prometheus),
+            ("/v1/trace", Endpoint::Trace),
+        ]
+        .map(|(path, endpoint)| ("GET", path, endpoint));
+        let queries =
+            QueryKind::ALL.map(|kind| (kind.method(), kind.path(), Endpoint::Query(kind)));
+        observability
+            .into_iter()
+            .chain(queries)
+            .enumerate()
+            .map(|(index, (method, path, endpoint))| Route {
+                method,
+                path,
+                endpoint,
+                index,
+                offload: matches!(
+                    endpoint,
+                    Endpoint::Query(
+                        QueryKind::Batch
+                            | QueryKind::Sweep
+                            | QueryKind::Grid
+                            | QueryKind::Frontier
+                            | QueryKind::Tornado
+                            | QueryKind::MonteCarlo
+                            | QueryKind::Replay
+                            | QueryKind::Optimize
+                    )
+                ),
+            })
+            .collect()
     })
 }
 
-/// The metrics-registry index of a request — its dispatch-table position,
-/// falling back to the trailing bucket for unknown paths and methods.
-pub(crate) fn route_index(method: &str, path: &str) -> usize {
-    route_table()
+/// Looks a request up in the dispatch table, once: the entry serving its
+/// method and path, or the `404` (unknown path) or `405` (known path,
+/// other method) error to answer with. Unresolved requests are metered in
+/// the registry's trailing fallback bucket.
+pub(crate) fn resolve(method: &str, path: &str) -> Result<&'static Route, ApiError> {
+    let route = route_table()
         .iter()
-        .position(|route| route.method == method && route.path == path)
-        .unwrap_or(usize::MAX)
+        .find(|route| route.path == path)
+        .ok_or_else(|| ApiError::not_found(format!("no route for {method} {path}")))?;
+    if route.method != method {
+        return Err(ApiError::method_not_allowed(format!(
+            "{} only supports {}",
+            route.path, route.method
+        )));
+    }
+    Ok(route)
 }
 
-/// Whether a request should run on the worker pool instead of inline on
-/// the event loop. Point lookups finish in single-digit microseconds —
-/// handing them to another thread costs more than answering them — while
-/// the fan-out kinds can burn milliseconds and would stall every other
-/// connection if they ran on the loop.
-pub(crate) fn offloads(method: &str, path: &str) -> bool {
-    route_table()
-        .iter()
-        .find(|route| route.method == method && route.path == path)
-        .is_some_and(|route| match route.endpoint {
-            Endpoint::Query(kind) => matches!(
-                kind,
-                QueryKind::Batch
-                    | QueryKind::Sweep
-                    | QueryKind::Grid
-                    | QueryKind::Frontier
-                    | QueryKind::Tornado
-                    | QueryKind::MonteCarlo
-                    | QueryKind::Replay
-                    | QueryKind::Optimize
-            ),
-            Endpoint::Healthz | Endpoint::Metrics | Endpoint::Prometheus | Endpoint::Trace => false,
-        })
-}
-
-/// True when the request addresses the Prometheus text endpoint — the one
-/// route whose response the transport renders as `text/plain` instead of
-/// routing through the JSON dispatcher.
-pub(crate) fn is_prometheus(method: &str, path: &str) -> bool {
-    route_table()
-        .iter()
-        .find(|route| route.method == method && route.path == path)
-        .is_some_and(|route| route.endpoint == Endpoint::Prometheus)
-}
-
-/// What an offloaded request produced on the worker.
+/// What an offloaded request produced on the worker. The body bytes are
+/// in the buffer the worker passed to [`handle_offloaded`].
 pub(crate) enum Reply {
     /// A complete buffered response.
     Full {
         /// HTTP status.
         status: u16,
-        /// JSON body.
-        body: String,
     },
-    /// A `stream: true` grid request: the response head (JSON up to the
-    /// streamed rows) is ready and the worker should pump the row-blocks.
+    /// A `stream: true` grid request: the buffer holds the response head
+    /// (JSON up to and including `"ratios":[`) and the worker should pump
+    /// the row-blocks.
     GridStream {
-        /// Response JSON up to and including `"ratios":[`.
-        head: String,
         /// The bounded-memory grid evaluation to pump.
         stream: Box<GridStream>,
     },
 }
 
-/// Routes one offloaded request, additionally recognizing the streamed
-/// grid mode ([`Reply::GridStream`]) that the inline path never serves
-/// (grids always offload). Everything else behaves exactly like
-/// [`handle`].
+/// Routes one offloaded request, writing its body into `body`,
+/// additionally recognizing the streamed grid mode
+/// ([`Reply::GridStream`]) that the inline path never serves (grids always
+/// offload). Everything else behaves exactly like [`handle`].
 pub(crate) fn handle_offloaded(
     state: &ServerState,
     buffer: &mut ResultBuffer,
+    route: &Route,
     request: &Request,
     exec_start_ticks: u64,
+    body: &mut Vec<u8>,
 ) -> Reply {
-    if request.method == "POST" && request.path == QueryKind::Grid.path() {
-        match try_grid_stream(state, request) {
-            Ok(Some((head, stream))) => {
-                // The execute span for a streamed grid covers decode +
-                // compile + head build; the row production shows up as
-                // `tile_batch` spans while the stream drains.
-                record_execute(exec_start_ticks);
-                return Reply::GridStream { head, stream };
+    let answer = match route.endpoint {
+        Endpoint::Query(QueryKind::Grid) => match decode_query(state, QueryKind::Grid, request) {
+            Ok(Query::Grid(grid)) if grid.stream => {
+                body.clear();
+                let started = state.engine.grid_stream(&grid).and_then(|stream| {
+                    grid_stream_head(&stream, body).map_err(serialization_failed)?;
+                    Ok(stream)
+                });
+                match started {
+                    Ok(stream) => {
+                        // The execute span for a streamed grid covers
+                        // decode + compile + head build; the row production
+                        // shows up as `tile_batch` spans while the stream
+                        // drains.
+                        close_span(SpanName::Execute, exec_start_ticks, 0);
+                        return Reply::GridStream {
+                            stream: Box::new(stream),
+                        };
+                    }
+                    Err(error) => Err(error),
+                }
             }
-            Ok(None) => {} // `stream` not requested: buffered path below
-            Err(error) => {
-                record_execute(exec_start_ticks);
-                return Reply::Full {
-                    status: error.http_status(),
-                    body: error_body(&error),
-                };
-            }
-        }
-    }
-    let (status, body, _) = handle(state, buffer, request, exec_start_ticks);
-    Reply::Full { status, body }
+            Ok(query) => run(state, buffer, &query),
+            Err(error) => Err(error),
+        },
+        _ => execute(state, buffer, route, request),
+    };
+    let (status, _) = respond(answer, exec_start_ticks, body);
+    Reply::Full { status }
 }
 
-/// Closes an execute span opened at `exec_start_ticks` (no-op when 0 —
-/// untraced), for paths that don't hand the boundary stamp onward.
-fn record_execute(exec_start_ticks: u64) {
-    if exec_start_ticks != 0 {
-        gf_trace::record_span_at(
-            gf_trace::SpanName::Execute,
-            exec_start_ticks,
-            gf_trace::now_ticks().saturating_sub(exec_start_ticks),
-            0,
-        );
+/// Closes a span opened at `start_ticks` (0 = untraced: nothing is
+/// recorded) and returns its end stamp, which opens the next span without
+/// a fresh clock read (0 when untraced).
+pub(crate) fn close_span(name: SpanName, start_ticks: u64, aux: u64) -> u64 {
+    if start_ticks == 0 {
+        return 0;
     }
-}
-
-/// Decodes a grid request and, when it asked to stream, compiles the
-/// scenario and builds the response head. `Ok(None)` means "buffered
-/// request — use the ordinary path".
-fn try_grid_stream(
-    state: &ServerState,
-    request: &Request,
-) -> Result<Option<(String, Box<GridStream>)>, ApiError> {
-    let body = parse_body(state, request)?;
-    let grid = GridRequest::from_json(&body)?;
-    if !grid.stream {
-        return Ok(None);
-    }
-    let stream = state.engine.grid_stream(&grid)?;
-    let head = grid_stream_head(&stream)
-        .map_err(|e| ApiError::internal(format!("response serialization failed: {e}")))?;
-    Ok(Some((head, Box::new(stream))))
+    let end = gf_trace::now_ticks();
+    gf_trace::record_span_at(name, start_ticks, end.saturating_sub(start_ticks), aux);
+    end
 }
 
 /// Evaluates a grid stream block by block on the worker, sending each
@@ -235,128 +218,128 @@ pub(crate) fn stream_grid_blocks(
         delivered
     };
     while let Some(block) = stream.next_block() {
+        let mut fragment = Vec::new();
         // Head already on the wire: truncation is the only signal left.
-        let Some(fragment) = block.ok().and_then(|block| grid_stream_rows(&block).ok()) else {
+        if !block.is_ok_and(|block| grid_stream_rows(&block, &mut fragment).is_ok()) {
             wake(StreamEvent::Abort);
             return;
-        };
+        }
         if !wake(StreamEvent::Chunk(fragment)) {
             return; // connection closed: stop evaluating
         }
     }
-    match grid_stream_tail(&stream) {
-        Ok(tail) => wake(StreamEvent::End { tail }),
+    let mut tail = Vec::new();
+    match grid_stream_tail(&stream, &mut tail) {
+        Ok(()) => wake(StreamEvent::End { tail }),
         Err(_) => wake(StreamEvent::Abort),
     };
 }
 
-/// Routes one request. Returns `(status, body, end_ticks)`; the body is
-/// always JSON. `exec_start_ticks` (0 = untraced) opens the execute
-/// span, whose closing stamp also opens the serialize span; the final
-/// boundary stamp is returned so the transport can open the write span
-/// without a fresh clock read (0 when untraced).
+/// Routes one resolved (or rejected) request, writing its JSON body into
+/// `body` and returning `(status, end_ticks)`. `exec_start_ticks`
+/// (0 = untraced) opens the execute span — body parse, typed decode and
+/// the engine run — whose closing stamp opens the serialize span, which
+/// covers only the byte write. The final boundary stamp is returned so
+/// the transport can open the write span without a fresh clock read (0
+/// when untraced).
 pub(crate) fn handle(
     state: &ServerState,
     buffer: &mut ResultBuffer,
+    route: Result<&Route, ApiError>,
     request: &Request,
     exec_start_ticks: u64,
-) -> (u16, String, u64) {
-    match dispatch(state, buffer, request) {
-        Ok(value) => {
-            let mid = if exec_start_ticks != 0 {
-                let mid = gf_trace::now_ticks();
-                gf_trace::record_span_at(
-                    gf_trace::SpanName::Execute,
-                    exec_start_ticks,
-                    mid.saturating_sub(exec_start_ticks),
-                    0,
-                );
-                mid
-            } else {
-                0
-            };
-            match value.to_json_string() {
-                Ok(body) => {
-                    let end = if mid != 0 {
-                        let end = gf_trace::now_ticks();
-                        gf_trace::record_span_at(
-                            gf_trace::SpanName::Serialize,
-                            mid,
-                            end.saturating_sub(mid),
-                            body.len() as u64,
-                        );
-                        end
-                    } else {
-                        0
-                    };
-                    (200, body, end)
-                }
-                Err(e) => {
-                    let error = ApiError::internal(format!("response serialization failed: {e}"));
-                    (error.http_status(), error_body(&error), mid)
-                }
-            }
-        }
-        Err(error) => {
-            let body = error_body(&error);
-            let end = if exec_start_ticks != 0 {
-                let end = gf_trace::now_ticks();
-                gf_trace::record_span_at(
-                    gf_trace::SpanName::Execute,
-                    exec_start_ticks,
-                    end.saturating_sub(exec_start_ticks),
-                    0,
-                );
-                end
-            } else {
-                0
-            };
-            (error.http_status(), body, end)
+    body: &mut Vec<u8>,
+) -> (u16, u64) {
+    let answer = route.and_then(|route| execute(state, buffer, route, request));
+    respond(answer, exec_start_ticks, body)
+}
+
+/// A dispatched request's answer, typed until it is written.
+enum Answer {
+    Health(Health),
+    Metrics(MetricsResponse),
+    Trace(TraceResponse),
+    Query(Outcome),
+}
+
+impl Answer {
+    fn write(&self, out: &mut Vec<u8>) -> Result<(), JsonError> {
+        match self {
+            Answer::Health(health) => health.write_json(out),
+            Answer::Metrics(metrics) => metrics.write_json(out),
+            Answer::Trace(trace) => trace.write_json(out),
+            Answer::Query(outcome) => outcome.write_result(out),
         }
     }
 }
 
-/// Finds the dispatch-table entry for a request and runs it.
-fn dispatch(
+/// Closes the execute span and writes the answer — or the error body —
+/// into `body`. Returns `(status, end_ticks)` as [`handle`] does.
+fn respond(
+    answer: Result<Answer, ApiError>,
+    exec_start_ticks: u64,
+    body: &mut Vec<u8>,
+) -> (u16, u64) {
+    body.clear();
+    let mid = close_span(SpanName::Execute, exec_start_ticks, 0);
+    let error = match answer.map(|answer| answer.write(body)) {
+        Ok(Ok(())) => {
+            let end = close_span(SpanName::Serialize, mid, body.len() as u64);
+            return (200, end);
+        }
+        Ok(Err(e)) => serialization_failed(e),
+        Err(error) => error,
+    };
+    error_body(&error, body);
+    (error.http_status(), mid)
+}
+
+fn serialization_failed(e: JsonError) -> ApiError {
+    ApiError::internal(format!("response serialization failed: {e}"))
+}
+
+/// Runs a resolved request's endpoint, stopping short of writing.
+fn execute(
     state: &ServerState,
     buffer: &mut ResultBuffer,
+    route: &Route,
     request: &Request,
-) -> Result<Value, ApiError> {
-    let entry = route_table()
-        .iter()
-        .find(|route| route.path == request.path)
-        .ok_or_else(|| {
-            ApiError::not_found(format!("no route for {} {}", request.method, request.path))
-        })?;
-    if entry.method != request.method {
-        return Err(ApiError::method_not_allowed(format!(
-            "{} only supports {}",
-            entry.path, entry.method
-        )));
-    }
-    match entry.endpoint {
-        Endpoint::Healthz => Ok(healthz(state)),
-        Endpoint::Metrics => Ok(metrics(state)),
+) -> Result<Answer, ApiError> {
+    match route.endpoint {
+        Endpoint::Healthz => Ok(Answer::Health(Health {
+            uptime_seconds: state.started.elapsed().as_secs_f64(),
+            workers: state.config.workers_resolved(),
+        })),
+        Endpoint::Metrics => Ok(Answer::Metrics(metrics(state))),
         // The transport intercepts `GET /metrics` before dispatch (its
         // response is text, not JSON); reaching this arm means a bug in
         // that interception, not a client error.
         Endpoint::Prometheus => Err(ApiError::internal(
             "prometheus exposition must be rendered by the transport",
         )),
-        Endpoint::Trace => Ok(trace()),
-        Endpoint::Query(kind) => {
-            // `GET` query routes (the catalog) carry no body; decode from
-            // the empty object instead of parsing zero bytes as JSON.
-            let body = if entry.method == "GET" {
-                Value::Object(Vec::new())
-            } else {
-                parse_body(state, request)?
-            };
-            let query = kind.decode_request(&body)?;
-            let outcome = state.engine.run_with_buffer(&query, buffer)?;
-            Ok(outcome.result_json())
-        }
+        Endpoint::Trace => Ok(Answer::Trace(trace())),
+        Endpoint::Query(kind) => run(state, buffer, &decode_query(state, kind, request)?),
     }
+}
+
+fn run(state: &ServerState, buffer: &mut ResultBuffer, query: &Query) -> Result<Answer, ApiError> {
+    Ok(Answer::Query(state.engine.run_with_buffer(query, buffer)?))
+}
+
+/// Parses and decodes a query route's request.
+fn decode_query(
+    state: &ServerState,
+    kind: QueryKind,
+    request: &Request,
+) -> Result<Query, ApiError> {
+    // `GET` query routes (the catalog) carry no body; decode from the
+    // empty object instead of parsing zero bytes as JSON.
+    let body = if kind.method() == "GET" {
+        Value::Object(Vec::new())
+    } else {
+        parse_body(state, request)?
+    };
+    Ok(kind.decode_request(&body)?)
 }
 
 /// Parses the request body (bounded by the transport's body limit, plus
@@ -371,52 +354,61 @@ fn parse_body(state: &ServerState, request: &Request) -> Result<Value, ApiError>
     Ok(gf_json::parse_with(text, limits)?)
 }
 
-/// Encodes an [`ApiError`] as the JSON error body, attaching the calling
-/// thread's current request id (when one is set) so an error response can
-/// be correlated with its spans and its `x-request-id` header.
-pub(crate) fn error_body(error: &ApiError) -> String {
-    let mut value = error.to_json();
+/// Writes an [`ApiError`] as the JSON error body into `out`, appending
+/// the calling thread's current request id (when one is set) so an error
+/// response can be correlated with its spans and its `x-request-id`
+/// header.
+pub(crate) fn error_body(error: &ApiError, out: &mut Vec<u8>) {
+    let mut writer = JsonWriter::new(out);
+    writer.begin_object();
+    error.encode_members(&mut writer);
     let request_id = gf_trace::current_request();
     if request_id != 0 {
-        if let Value::Object(members) = &mut value {
-            members.push((
-                "request_id".to_string(),
-                Value::String(format!("{request_id:016x}")),
-            ));
-        }
+        writer.member(key!("request_id"), &format!("{request_id:016x}"));
     }
-    value
-        .to_json_string()
-        .unwrap_or_else(|_| "{\"error\":{\"code\":\"internal\"}}".to_string())
+    writer.end_object();
+    writer
+        .finish()
+        .expect("an error body holds no numbers, so it always writes");
 }
 
 /// Builds the error body for a protocol-level rejection raised by the HTTP
 /// reader (bad request line, oversized head/body, ...). The transport
 /// keeps its specific status (`413`, `431`, ...); the body carries the
 /// canonical `protocol` code.
-pub(crate) fn protocol_error_body(message: &str) -> String {
-    error_body(&ApiError::protocol(message))
+pub(crate) fn protocol_error_body(message: &str) -> Vec<u8> {
+    let mut body = Vec::new();
+    error_body(&ApiError::protocol(message), &mut body);
+    body
 }
 
 /// Builds the `503` body the connection governor answers with when the
 /// server is at capacity.
-pub(crate) fn overload_error_body() -> String {
-    error_body(&ApiError::overloaded(
-        "server is at capacity; retry after the Retry-After delay",
-    ))
+pub(crate) fn overload_error_body() -> Vec<u8> {
+    let mut body = Vec::new();
+    error_body(
+        &ApiError::overloaded("server is at capacity; retry after the Retry-After delay"),
+        &mut body,
+    );
+    body
 }
 
-fn healthz(state: &ServerState) -> Value {
-    // Liveness only: cache and request counters live in `/v1/metrics`.
-    object([
-        ("status", Value::from("ok")),
-        ("version", Value::from(env!("CARGO_PKG_VERSION"))),
-        (
-            "uptime_seconds",
-            Value::Number(state.started.elapsed().as_secs_f64()),
-        ),
-        ("workers", Value::from(state.config.workers_resolved())),
-    ])
+/// `GET /healthz`: liveness only — cache and request counters live in
+/// `/v1/metrics`.
+struct Health {
+    uptime_seconds: f64,
+    workers: usize,
+}
+
+impl ToJson for Health {
+    fn encode<S: JsonSink>(&self, sink: &mut S) {
+        sink.begin_object();
+        sink.member(key!("status"), "ok");
+        sink.member(key!("version"), env!("CARGO_PKG_VERSION"));
+        sink.member(key!("uptime_seconds"), &self.uptime_seconds);
+        sink.member(key!("workers"), &self.workers);
+        sink.end_object();
+    }
 }
 
 /// Most spans one `GET /v1/trace` response returns. A bound, not a page:
@@ -426,7 +418,7 @@ const TRACE_SNAPSHOT_MAX: usize = 512;
 /// Builds the `GET /v1/trace` response: the recent-span rings as typed
 /// JSON, newest first, ids rendered as the same fixed-width hex the
 /// `x-request-id` header uses.
-fn trace() -> Value {
+fn trace() -> TraceResponse {
     let spans = gf_trace::snapshot(TRACE_SNAPSHOT_MAX)
         .into_iter()
         .map(|span| greenfpga::api::TraceSpan {
@@ -439,16 +431,15 @@ fn trace() -> Value {
             thread: span.thread,
         })
         .collect();
-    greenfpga::api::TraceResponse {
+    TraceResponse {
         spans,
         enabled: gf_trace::enabled(),
     }
-    .to_json()
 }
 
-fn metrics(state: &ServerState) -> Value {
+fn metrics(state: &ServerState) -> MetricsResponse {
     use std::sync::atomic::Ordering;
-    greenfpga::api::MetricsResponse {
+    MetricsResponse {
         requests_served: state.requests.load(Ordering::Relaxed),
         connections_live: state.live_connections.load(Ordering::SeqCst) as u64,
         connections_max: state.config.max_connections as u64,
@@ -456,38 +447,84 @@ fn metrics(state: &ServerState) -> Value {
         routes: state.metrics.snapshot_routes(),
         cache_shards: state.engine.cache_shard_metrics(),
     }
-    .to_json()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use greenfpga::api::EvaluateResponse;
+    use greenfpga::units::Carbon;
+    use greenfpga::{Domain, Estimator};
 
     #[test]
     fn every_query_kind_is_in_the_dispatch_table() {
         for kind in QueryKind::ALL {
-            let index = route_index(kind.method(), kind.path());
-            let entry = &route_table()[index];
+            let entry = resolve(kind.method(), kind.path()).expect("every kind is routed");
             assert_eq!(entry.endpoint, Endpoint::Query(kind), "{kind}");
             assert_eq!(entry.method, kind.method());
+            assert!(std::ptr::eq(entry, &route_table()[entry.index]));
         }
-        // The catalog is the one body-less query route.
-        assert_eq!(route_index("POST", QueryKind::Catalog.path()), usize::MAX);
-        assert!(route_index("GET", "/healthz") < route_table().len());
-        assert!(route_index("GET", "/v1/metrics") < route_table().len());
-        assert!(route_index("GET", "/metrics") < route_table().len());
-        assert!(route_index("GET", "/v1/trace") < route_table().len());
-        // Unknown requests clamp to the fallback bucket downstream.
-        assert_eq!(route_index("GET", "/nope"), usize::MAX);
-        assert_eq!(route_index("PATCH", "/healthz"), usize::MAX);
+        for path in ["/healthz", "/v1/metrics", "/metrics", "/v1/trace"] {
+            assert!(resolve("GET", path).is_ok(), "{path}");
+        }
+        // The catalog is the one body-less query route: other methods on a
+        // known path answer 405, unknown paths 404, with the same bodies
+        // as before the table was resolved once per request.
+        let wrong_method = resolve("POST", QueryKind::Catalog.path()).unwrap_err();
+        assert_eq!(wrong_method.http_status(), 405);
+        assert_eq!(wrong_method.message, "/v1/catalog only supports GET");
+        let patch = resolve("PATCH", "/healthz").unwrap_err();
+        assert_eq!(patch.message, "/healthz only supports GET");
+        let unknown = resolve("GET", "/nope").unwrap_err();
+        assert_eq!(unknown.http_status(), 404);
+        assert_eq!(unknown.message, "no route for GET /nope");
     }
 
     #[test]
     fn observability_routes_stay_inline_and_prometheus_is_flagged() {
-        assert!(!offloads("GET", "/metrics"));
-        assert!(!offloads("GET", "/v1/trace"));
-        assert!(is_prometheus("GET", "/metrics"));
-        assert!(!is_prometheus("GET", "/v1/metrics"));
-        assert!(!is_prometheus("POST", "/metrics"), "405s stay JSON");
+        let prometheus = resolve("GET", "/metrics").unwrap();
+        assert_eq!(prometheus.endpoint, Endpoint::Prometheus);
+        assert!(!prometheus.offload);
+        assert!(!resolve("GET", "/v1/trace").unwrap().offload);
+        assert_ne!(
+            resolve("GET", "/v1/metrics").unwrap().endpoint,
+            Endpoint::Prometheus
+        );
+        assert!(resolve("POST", "/metrics").is_err(), "405s stay JSON");
+        assert!(resolve("POST", "/v1/batch").unwrap().offload);
+        assert!(!resolve("POST", "/v1/evaluate").unwrap().offload);
+    }
+
+    #[test]
+    fn a_non_finite_result_answers_the_serialization_500() {
+        let mut comparison = Estimator::default()
+            .compare_uniform(Domain::Dnn, 5, 2.0, 1_000_000)
+            .unwrap();
+        comparison.fpga.design = Carbon::from_kg(f64::NAN);
+        let answer = || {
+            Ok(Answer::Query(Outcome::Evaluate(EvaluateResponse {
+                comparison,
+            })))
+        };
+        let expected = concat!(
+            r#"{"error":{"code":"internal","#,
+            r#""message":"response serialization failed: JSON cannot represent NaN or infinite numbers","#,
+            r#""retryable":false}"#
+        );
+        let mut body = b"stale bytes".to_vec();
+        assert_eq!(respond(answer(), 0, &mut body).0, 500);
+        assert_eq!(
+            String::from_utf8(body.clone()).unwrap(),
+            format!("{expected}}}")
+        );
+        // With a request in flight, its id follows the error member.
+        gf_trace::set_current_request(0xabc);
+        let status = respond(answer(), 0, &mut body).0;
+        gf_trace::set_current_request(0);
+        assert_eq!(status, 500);
+        assert_eq!(
+            String::from_utf8(body).unwrap(),
+            format!(r#"{expected},"request_id":"0000000000000abc"}}"#)
+        );
     }
 }

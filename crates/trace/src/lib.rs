@@ -78,9 +78,12 @@ pub enum SpanName {
     QueueWait = 2,
     /// Scenario compile on a cache miss (engine; `aux` = shard index).
     Compile = 3,
-    /// Query execution (server for the request span; `aux` = route index).
+    /// Query execution (server for the request span; `aux` = route index):
+    /// body parse, typed decode and the engine run, ending with a typed
+    /// result — no JSON tree is built.
     Execute = 4,
-    /// Response-body serialization (server; `aux` = body bytes).
+    /// Response-body serialization (server; `aux` = body bytes): only the
+    /// typed result's write into the reused byte buffer.
     Serialize = 5,
     /// Response write: serialize-end to socket-drained (server;
     /// `aux` = bytes written) — covers HTTP encoding, output queueing,

@@ -3,7 +3,7 @@
 //!
 //! The corpus is an oracle for the codec in `greenfpga::api`: it was
 //! written by the code it now checks, and any later change to a wire byte
-//! shows up here as a diff. Four checks read it:
+//! shows up here as a diff. Five checks read it:
 //!
 //! * (a) typed requests (and hand-written sparse bodies, once decoded)
 //!   encode to the frozen `request` and `query` bytes;
@@ -12,7 +12,10 @@
 //!   engine numerics;
 //! * (c) `Engine::run` answers with the frozen `result` and `outcome`
 //!   bytes;
-//! * (d) malformed bodies answer with the frozen `ApiError` body.
+//! * (d) malformed bodies answer with the frozen `ApiError` body;
+//! * (e) the byte writer the server answers with (`Outcome::write_result`,
+//!   `ToJson::write_json`: no `Value` tree) gives the same frozen bytes as
+//!   the `Value` path the other checks render through.
 //!
 //! Re-freezing is deliberate: run
 //! `cargo test -p gf-tests --test wire_corpus -- --ignored regenerate`
@@ -33,7 +36,7 @@
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
-use gf_json::{parse, FromJson, ToJson};
+use gf_json::{parse, FromJson, JsonError, ToJson};
 use gf_support::SplitMix64;
 use greenfpga::api::{
     grid_stream_head, grid_stream_rows, grid_stream_tail, BatchEvalRequest, CatalogRequest,
@@ -845,6 +848,63 @@ fn malformed_bodies_answer_the_frozen_errors() {
     assert_frozen(&["body", "error"]);
 }
 
+/// (e) The direct byte writer matches the frozen bytes: engine results and
+/// errors as the server writes them, envelopes re-encoded from the frozen
+/// lines.
+#[test]
+fn direct_writes_match_the_frozen_bytes() {
+    let engine = engine();
+    let mut checked = 0;
+    for kind in QueryKind::ALL {
+        let mut case = String::new();
+        let mut answer: Option<Result<Outcome, ApiError>> = None;
+        for (name, tag, json) in load(kind) {
+            if name != case {
+                case.clone_from(&name);
+                answer = None;
+            }
+            let value = || parse(&json).unwrap_or_else(|e| panic!("{kind} {name} {tag}: {e}"));
+            let outcome = |answer: &Option<Result<Outcome, ApiError>>| match answer {
+                Some(Ok(outcome)) => outcome.clone(),
+                _ => panic!("{kind} {name}: a {tag} line follows a served request"),
+            };
+            let mut bytes = Vec::new();
+            let written: Result<(), JsonError> = match tag.as_str() {
+                "request" => {
+                    let query = kind
+                        .decode_request(&value())
+                        .expect("frozen request decodes");
+                    answer = Some(engine.run(&query));
+                    continue;
+                }
+                "query" => Query::from_json(&value())
+                    .expect("frozen query decodes")
+                    .write_json(&mut bytes),
+                "result" => outcome(&answer).write_result(&mut bytes),
+                "outcome" => outcome(&answer).write_json(&mut bytes),
+                "error" => match answer.take() {
+                    Some(Err(error)) => error.write_json(&mut bytes),
+                    _ => ApiError::from_json(&value())
+                        .expect("frozen error decodes")
+                        .write_json(&mut bytes),
+                },
+                _ => continue,
+            };
+            written.unwrap_or_else(|e| panic!("{kind} {name} {tag}: {e}"));
+            assert_eq!(
+                String::from_utf8(bytes).expect("UTF-8"),
+                json,
+                "{kind} {name} {tag}: direct bytes differ"
+            );
+            checked += 1;
+        }
+    }
+    assert!(
+        checked > 500,
+        "only {checked} frozen lines written directly"
+    );
+}
+
 /// A streamed grid — head, each block's rows, tail — splices to exactly
 /// the frozen buffered body, whatever the block height.
 #[test]
@@ -865,12 +925,17 @@ fn streamed_grids_splice_to_the_frozen_buffered_bytes() {
                         .grid_stream(&request)
                         .expect("grid streams")
                         .with_block_rows(block_rows);
-                    let mut body = grid_stream_head(&stream).expect("head encodes");
+                    let mut body = Vec::new();
+                    grid_stream_head(&stream, &mut body).expect("head encodes");
                     while let Some(block) = stream.next_block() {
-                        body.push_str(&grid_stream_rows(&block.expect("block")).expect("rows"));
+                        grid_stream_rows(&block.expect("block"), &mut body).expect("rows");
                     }
-                    body.push_str(&grid_stream_tail(&stream).expect("tail encodes"));
-                    assert_eq!(body, json, "grid {name}, {block_rows} rows per block");
+                    grid_stream_tail(&stream, &mut body).expect("tail encodes");
+                    assert_eq!(
+                        String::from_utf8(body).expect("UTF-8"),
+                        json,
+                        "grid {name}, {block_rows} rows per block"
+                    );
                 }
                 checked += 1;
             }
