@@ -13,10 +13,13 @@
 //! Design constraints, in order:
 //!
 //! 1. **Round-tripping**: `parse(v.to_json_string()) == v` for every value
-//!    this crate can produce. Numbers are written with Rust's shortest
-//!    round-trip `f64` formatting, so a parsed response compares
-//!    *bit-identical* to the `f64` the producer serialized — the property
-//!    the serving integration tests golden-match on.
+//!    this crate can produce. Numbers are written as the shortest digits
+//!    that round-trip, byte-identical to Rust's `f64` `Display`, by an
+//!    integer fast path and an in-crate Ryū (Adams, PLDI 2018) rather than
+//!    through `core::fmt`. A parsed response compares *bit-identical* to
+//!    the `f64` the producer serialized — the property the serving
+//!    integration tests golden-match on. `tests/writer_oracle.rs` checks
+//!    the writer against `Display` and against `str::parse::<f64>`.
 //! 2. **Bounded input**: the parser enforces a nesting-depth limit and an
 //!    input-size limit so a hostile request body cannot blow the stack or
 //!    memory of a long-lived server.
@@ -53,6 +56,7 @@
 #![warn(missing_docs)]
 
 mod parse;
+mod ryu;
 mod write;
 
 use std::fmt;

@@ -1,14 +1,14 @@
 //! The byte writer: JSON straight into a `Vec<u8>`.
 //!
-//! Numbers use Rust's shortest round-trip formatting (`{}` on `f64`), which
-//! guarantees `text.parse::<f64>()` recovers the exact bits that were
-//! written — the property the serving tests golden-match on. Integral
-//! values below 2⁵³ in magnitude take an integer fast path that prints the
-//! same digits. Non-finite numbers are a hard error: JSON has no lexeme for
-//! them, and the usual fallback (emitting `null`) silently breaks
+//! Numbers are written byte for byte as Rust's `f64` `Display` writes them:
+//! the shortest digits that round-trip, so `text.parse::<f64>()` recovers
+//! the exact bits that were written — the property the serving tests
+//! golden-match on. Integral values below 2⁵³ in magnitude take an integer
+//! fast path; every other finite value goes through the in-crate Ryū
+//! (`ryu.rs`), laid out positionally like `Display`, with no exponent and
+//! no `core::fmt`. Non-finite numbers are a hard error: JSON has no lexeme
+//! for them, and the usual fallback (emitting `null`) silently breaks
 //! round-tripping.
-
-use std::fmt::Write as _;
 
 use crate::{JsonError, JsonSink, Key, ToJson, Value};
 
@@ -227,6 +227,24 @@ pub(crate) fn to_string(value: &Value, pretty: bool) -> Result<String, JsonError
 /// plain digits (2⁵³).
 const EXACT_INTEGER: f64 = 9_007_199_254_740_992.0;
 
+/// Appends the shortest round-trip form of `n` — the digits Rust's `f64`
+/// `Display` prints — or returns `false` for NaN and ±∞, writing nothing.
+fn write_number(out: &mut Vec<u8>, n: f64) -> bool {
+    if n.fract() == 0.0 && n.abs() < EXACT_INTEGER {
+        if n.is_sign_negative() {
+            out.push(b'-');
+        }
+        let mut digits = [0u8; 17];
+        let len = write_digits(&mut digits, n.abs() as u64);
+        out.extend_from_slice(&digits[..len]);
+    } else if n.is_finite() {
+        crate::ryu::write_shortest(out, n);
+    } else {
+        return false;
+    }
+    true
+}
+
 /// `"00" "01" … "99"`: two decimal digits per lookup.
 const DIGIT_PAIRS: [u8; 200] = {
     let mut table = [0u8; 200];
@@ -239,56 +257,46 @@ const DIGIT_PAIRS: [u8; 200] = {
     table
 };
 
-/// Appends the shortest round-trip form of `n` — the digits Rust's `f64`
-/// `Display` prints — or returns `false` for NaN and ±∞, writing nothing.
-fn write_number(out: &mut Vec<u8>, n: f64) -> bool {
-    if n.fract() == 0.0 && n.abs() < EXACT_INTEGER {
-        if n == 0.0 && n.is_sign_negative() {
-            out.extend_from_slice(b"-0");
-        } else {
-            write_integer(out, n as i64);
-        }
-    } else if n.is_finite() {
-        let _ = write!(Bytes(out), "{n}");
-    } else {
-        return false;
+/// Writes the decimal digits of `n < 10^17` to the front of `buf` and
+/// returns how many there are. The low eight digits are split off first
+/// so that the remaining divisions are 32-bit and mostly independent.
+pub(crate) fn write_digits(buf: &mut [u8; 17], n: u64) -> usize {
+    let len = n.checked_ilog10().map_or(1, |log| log as usize + 1);
+    let mut end = len;
+    let mut put_pair = |end: usize, pair: u32| {
+        let pair = pair as usize * 2;
+        buf[end - 2..end].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    };
+    let mut rest = n;
+    if rest >= 100_000_000 {
+        let low = (rest % 100_000_000) as u32;
+        rest /= 100_000_000;
+        let (high4, low4) = (low / 10_000, low % 10_000);
+        put_pair(end, low4 % 100);
+        put_pair(end - 2, low4 / 100);
+        put_pair(end - 4, high4 % 100);
+        put_pair(end - 6, high4 / 100);
+        end -= 8;
     }
-    true
-}
-
-fn write_integer(out: &mut Vec<u8>, n: i64) {
-    let mut buf = [0u8; 20];
-    let mut pos = buf.len();
-    let mut rest = n.unsigned_abs();
-    while rest >= 100 {
-        let pair = (rest % 100) as usize * 2;
+    let mut rest = rest as u32;
+    while rest >= 10_000 {
+        let low4 = rest % 10_000;
+        rest /= 10_000;
+        put_pair(end, low4 % 100);
+        put_pair(end - 2, low4 / 100);
+        end -= 4;
+    }
+    if rest >= 100 {
+        put_pair(end, rest % 100);
         rest /= 100;
-        pos -= 2;
-        buf[pos..pos + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+        end -= 2;
     }
     if rest >= 10 {
-        let pair = rest as usize * 2;
-        pos -= 2;
-        buf[pos..pos + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+        put_pair(end, rest);
     } else {
-        pos -= 1;
-        buf[pos] = b'0' + rest as u8;
+        buf[end - 1] = b'0' + rest as u8;
     }
-    if n < 0 {
-        pos -= 1;
-        buf[pos] = b'-';
-    }
-    out.extend_from_slice(&buf[pos..]);
-}
-
-/// `fmt::Write` onto a byte buffer, for `f64` `Display`.
-struct Bytes<'a>(&'a mut Vec<u8>);
-
-impl std::fmt::Write for Bytes<'_> {
-    fn write_str(&mut self, s: &str) -> std::fmt::Result {
-        self.0.extend_from_slice(s.as_bytes());
-        Ok(())
-    }
+    len
 }
 
 /// Appends `s` as a quoted JSON string. Runs of bytes that need no escape

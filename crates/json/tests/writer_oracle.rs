@@ -3,8 +3,12 @@
 //! Numbers are compared with `format!("{}", x)` — the standard library's
 //! shortest round-trip `f64` `Display`, not the code under test — on edge
 //! values, on integers around the 2⁵³ fast-path bound, and on a million
-//! seeded bit patterns. Strings are compared with a char-by-char reference
-//! escaper that states the escaping rules on its own.
+//! seeded bit patterns. The sweeps below add every power of ten with its
+//! neighbours, every power of two, the subnormals, the integers just above
+//! 2⁵³ and exact rounding ties, and check each against a second oracle as
+//! well: `str::parse::<f64>` must recover the written bits. Strings are
+//! compared with a char-by-char reference escaper that states the escaping
+//! rules on its own.
 
 use gf_json::{JsonError, JsonSink, JsonWriter, ToJson, Value};
 use gf_support::SplitMix64;
@@ -77,6 +81,94 @@ fn numbers_match_std_display_on_seeded_bit_patterns() {
             magnitude
         };
         assert_eq!(written(&mut out, x), format!("{x}"), "{x}");
+    }
+}
+
+/// Checks `x` and `-x` against `Display` and against parsing the written
+/// text back.
+fn check_both_oracles(out: &mut Vec<u8>, x: f64) {
+    for x in [x, -x] {
+        let text = written(out, x);
+        assert_eq!(text, format!("{x}"), "bits {:#018x}", x.to_bits());
+        let back: f64 = text.parse().expect("written numbers parse");
+        assert_eq!(back.to_bits(), x.to_bits(), "{text} parsed back");
+    }
+}
+
+#[test]
+fn powers_of_ten_and_their_neighbours_match_both_oracles() {
+    let mut out = Vec::new();
+    for k in -323..=308 {
+        let power: f64 = format!("1e{k}").parse().unwrap();
+        for x in [power.next_down(), power, power.next_up()] {
+            check_both_oracles(&mut out, x);
+        }
+    }
+}
+
+#[test]
+fn powers_of_two_match_both_oracles() {
+    let mut out = Vec::new();
+    // Subnormal 2^-1074 … 2^-1023, then normal 2^-1022 … 2^1023.
+    for bit in 0..52 {
+        check_both_oracles(&mut out, f64::from_bits(1 << bit));
+    }
+    for biased in 1..=2046u64 {
+        check_both_oracles(&mut out, f64::from_bits(biased << 52));
+    }
+}
+
+#[test]
+fn subnormals_match_both_oracles() {
+    const SUBNORMALS: u64 = 1 << 52;
+    let mut out = Vec::new();
+    for mantissa in (1..4096).chain(SUBNORMALS - 4096..SUBNORMALS) {
+        check_both_oracles(&mut out, f64::from_bits(mantissa));
+    }
+    // A strided sweep with an odd stride, so every digit pattern of the
+    // mantissa's low bits comes up.
+    let stride = (SUBNORMALS / 200_000) | 1;
+    for mantissa in (1..SUBNORMALS).step_by(stride as usize) {
+        check_both_oracles(&mut out, f64::from_bits(mantissa));
+    }
+}
+
+#[test]
+fn integers_above_two_to_the_53_match_both_oracles() {
+    const TWO_53: f64 = 9_007_199_254_740_992.0;
+    let mut out = Vec::new();
+    // The first integers past the fast path, every one representable.
+    let mut x = TWO_53;
+    for _ in 0..10_000 {
+        check_both_oracles(&mut out, x);
+        x = x.next_up();
+    }
+    // Around each power of ten from 10^16 on, where the trailing zeros
+    // are padding and the shortest digits end early.
+    for k in 16..=308 {
+        let power: f64 = format!("1e{k}").parse().unwrap();
+        let (mut up, mut down) = (power, power);
+        for _ in 0..64 {
+            check_both_oracles(&mut out, up);
+            check_both_oracles(&mut out, down);
+            up = up.next_up();
+            down = down.next_down();
+        }
+    }
+}
+
+#[test]
+fn exact_rounding_ties_match_both_oracles() {
+    // Between 2^47 and 2^52 a double has one to five fractional bits, so
+    // its exact value can sit halfway between the two shortest candidates
+    // (1023697023567767.25 prints as …767.3). `Display` rounds such a tie
+    // up, away from zero.
+    let mut rng = SplitMix64::new(0x71E5_F64D);
+    let mut out = Vec::new();
+    for _ in 0..200_000 {
+        let exponent = 47 + rng.gen_range_u64(0, 4);
+        let mantissa = rng.next_u64() & ((1 << 52) - 1);
+        check_both_oracles(&mut out, f64::from_bits((1023 + exponent) << 52 | mantissa));
     }
 }
 

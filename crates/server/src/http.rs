@@ -213,9 +213,11 @@ type ParsedHead = ((String, String, bool), usize, bool);
 fn parse_head_text(head_text: &str) -> Result<ParsedHead, (u16, String)> {
     // `str::lines` splits on `\n` and strips a trailing `\r`, matching the
     // framing scan, which accepts bare-LF line endings too — parsing must
-    // see the same lines the framing saw or the connection desyncs.
-    let mut lines = head_text.lines().map(str::trim_end);
-    let request_line = lines.next().unwrap_or_default();
+    // see the same lines the framing saw or the connection desyncs. Header
+    // lines keep their other whitespace: a line that starts with it is
+    // rejected below, even when it is nothing else.
+    let mut lines = head_text.lines();
+    let request_line = lines.next().unwrap_or_default().trim_end();
     let mut parts = request_line.split_whitespace();
     let (Some(method), Some(path), Some(version)) = (parts.next(), parts.next(), parts.next())
     else {
@@ -229,38 +231,46 @@ fn parse_head_text(head_text: &str) -> Result<ParsedHead, (u16, String)> {
     let mut keep_alive = version == "HTTP/1.1";
     let mut expects_continue = false;
     for line in lines {
+        // Each of these would let an intermediary that reads the line
+        // differently frame a different body (RFC 9112 §5.1, §5.2).
+        if line.starts_with([' ', '\t']) {
+            return Err((400, "obsolete header line folding".into()));
+        }
+        if line.is_empty() {
+            continue; // the blank terminator
+        }
         let Some((name, value)) = line.split_once(':') else {
-            continue; // the blank terminator (and any malformed header)
+            return Err((400, "header line without a colon".into()));
         };
-        let name = name.trim().to_ascii_lowercase();
-        let value = value.trim();
-        match name.as_str() {
-            "content-length" => match value.parse::<usize>() {
-                // Conflicting duplicates are a request-smuggling vector
-                // (RFC 9112 §6.3): with last-write-wins, this server and an
-                // intermediary that picks the first value would frame the
-                // stream differently. Repeating the *same* value is legal.
-                Ok(n) if content_length.is_some_and(|previous| previous != n) => {
-                    return Err((400, "conflicting Content-Length headers".into()));
-                }
-                Ok(n) => content_length = Some(n),
-                Err(_) => return Err((400, "invalid Content-Length".into())),
-            },
-            "connection" => {
-                let value = value.to_ascii_lowercase();
-                if value.contains("close") {
-                    keep_alive = false;
-                } else if value.contains("keep-alive") {
-                    keep_alive = true;
-                }
+        if name.ends_with([' ', '\t']) {
+            return Err((400, "whitespace before a header colon".into()));
+        }
+        let value = value.trim_matches([' ', '\t']);
+        if name.eq_ignore_ascii_case("content-length") {
+            // `1*DIGIT`: `usize::from_str` alone would take a leading `+`.
+            let n = match value.parse::<usize>() {
+                Ok(n) if value.bytes().all(|b| b.is_ascii_digit()) => n,
+                _ => return Err((400, "invalid Content-Length".into())),
+            };
+            // Conflicting duplicates are a request-smuggling vector
+            // (RFC 9112 §6.3): with last-write-wins, this server and an
+            // intermediary that picks the first value would frame the
+            // stream differently. Repeating the *same* value is legal.
+            if content_length.is_some_and(|previous| previous != n) {
+                return Err((400, "conflicting Content-Length headers".into()));
             }
-            "expect" => {
-                expects_continue = value.eq_ignore_ascii_case("100-continue");
+            content_length = Some(n);
+        } else if name.eq_ignore_ascii_case("connection") {
+            let value = value.to_ascii_lowercase();
+            if value.contains("close") {
+                keep_alive = false;
+            } else if value.contains("keep-alive") {
+                keep_alive = true;
             }
-            "transfer-encoding" => {
-                return Err((501, "transfer encodings are not supported".into()));
-            }
-            _ => {}
+        } else if name.eq_ignore_ascii_case("expect") {
+            expects_continue = value.eq_ignore_ascii_case("100-continue");
+        } else if name.eq_ignore_ascii_case("transfer-encoding") {
+            return Err((501, "transfer encodings are not supported".into()));
         }
     }
     Ok((
@@ -287,17 +297,18 @@ pub(crate) fn encode_response(
     retry_after_secs: Option<u32>,
     request_id: u64,
 ) {
-    use std::io::Write;
-    let reason = reason_phrase(status);
-    let connection = if keep_alive { "keep-alive" } else { "close" };
-    // Writes into a Vec cannot fail.
-    let _ = write!(
+    write_head(
         out,
-        "HTTP/1.1 {status} {reason}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: {connection}\r\nx-request-id: {request_id:016x}\r\n",
-        body.len()
+        status,
+        b"application/json",
+        Some(body.len()),
+        keep_alive,
+        request_id,
     );
     if let Some(seconds) = retry_after_secs {
-        let _ = write!(out, "Retry-After: {seconds}\r\n");
+        out.extend_from_slice(b"Retry-After: ");
+        write_decimal(out, seconds.into());
+        out.extend_from_slice(b"\r\n");
     }
     out.extend_from_slice(b"\r\n");
     out.extend_from_slice(body);
@@ -313,14 +324,15 @@ pub(crate) fn encode_text_response(
     keep_alive: bool,
     request_id: u64,
 ) {
-    use std::io::Write;
-    let reason = reason_phrase(status);
-    let connection = if keep_alive { "keep-alive" } else { "close" };
-    let _ = write!(
+    write_head(
         out,
-        "HTTP/1.1 {status} {reason}\r\nContent-Type: text/plain; version=0.0.4; charset=utf-8\r\nContent-Length: {}\r\nConnection: {connection}\r\nx-request-id: {request_id:016x}\r\n\r\n",
-        body.len()
+        status,
+        b"text/plain; version=0.0.4; charset=utf-8",
+        Some(body.len()),
+        keep_alive,
+        request_id,
     );
+    out.extend_from_slice(b"\r\n");
     out.extend_from_slice(body);
 }
 
@@ -335,24 +347,28 @@ pub(crate) fn encode_stream_head(
     keep_alive: bool,
     request_id: u64,
 ) {
-    use std::io::Write;
-    let reason = reason_phrase(status);
-    let connection = if keep_alive { "keep-alive" } else { "close" };
-    let _ = write!(
+    write_head(
         out,
-        "HTTP/1.1 {status} {reason}\r\nContent-Type: application/json\r\nTransfer-Encoding: chunked\r\nConnection: {connection}\r\nx-request-id: {request_id:016x}\r\n\r\n",
+        status,
+        b"application/json",
+        None,
+        keep_alive,
+        request_id,
     );
+    out.extend_from_slice(b"\r\n");
 }
 
 /// Appends one chunk of a streamed body (hex size line, data, CRLF). An
 /// empty slice is skipped entirely: a zero-length chunk would terminate
 /// the body early ([`encode_last_chunk`] owns that lexeme).
 pub(crate) fn encode_chunk(out: &mut Vec<u8>, data: &[u8]) {
-    use std::io::Write;
     if data.is_empty() {
         return;
     }
-    let _ = write!(out, "{:x}\r\n", data.len());
+    let len = data.len() as u64;
+    let size = hex16(len);
+    out.extend_from_slice(&size[len.leading_zeros() as usize / 4..]);
+    out.extend_from_slice(b"\r\n");
     out.extend_from_slice(data);
     out.extend_from_slice(b"\r\n");
 }
@@ -360,6 +376,64 @@ pub(crate) fn encode_chunk(out: &mut Vec<u8>, data: &[u8]) {
 /// Appends the chunked-body terminator (no trailers).
 pub(crate) fn encode_last_chunk(out: &mut Vec<u8>) {
     out.extend_from_slice(b"0\r\n\r\n");
+}
+
+/// Writes the status line and the headers every response carries, each
+/// line ending in CRLF; the caller adds its own headers and the blank
+/// line. `length` is the `Content-Length`, or `None` for a chunked body.
+fn write_head(
+    out: &mut Vec<u8>,
+    status: u16,
+    content_type: &[u8],
+    length: Option<usize>,
+    keep_alive: bool,
+    request_id: u64,
+) {
+    out.extend_from_slice(b"HTTP/1.1 ");
+    write_decimal(out, status.into());
+    out.push(b' ');
+    out.extend_from_slice(reason_phrase(status).as_bytes());
+    out.extend_from_slice(b"\r\nContent-Type: ");
+    out.extend_from_slice(content_type);
+    match length {
+        Some(length) => {
+            out.extend_from_slice(b"\r\nContent-Length: ");
+            write_decimal(out, length as u64);
+        }
+        None => out.extend_from_slice(b"\r\nTransfer-Encoding: chunked"),
+    }
+    out.extend_from_slice(if keep_alive {
+        b"\r\nConnection: keep-alive\r\nx-request-id: "
+    } else {
+        b"\r\nConnection: close\r\nx-request-id: "
+    });
+    out.extend_from_slice(&hex16(request_id));
+    out.extend_from_slice(b"\r\n");
+}
+
+fn write_decimal(out: &mut Vec<u8>, mut n: u64) {
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&digits[start..]);
+}
+
+/// `n` as 16 lowercase hex digits, zero-padded: the fixed width of the
+/// `x-request-id` header and of an error body's `request_id`.
+pub(crate) fn hex16(n: u64) -> [u8; 16] {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let mut digits = [0u8; 16];
+    for (i, digit) in digits.iter_mut().enumerate() {
+        *digit = HEX[(n >> (60 - 4 * i)) as usize & 0xf];
+    }
+    digits
 }
 
 fn reason_phrase(status: u16) -> &'static str {
@@ -526,6 +600,58 @@ mod tests {
             panic!("identical duplicate Content-Length must parse");
         };
         assert_eq!(request.body, b"body");
+    }
+
+    /// Each form below can frame a different body for an intermediary
+    /// that reads the head its own way, so it is answered with `400`
+    /// before any body byte is read.
+    fn assert_rejected(wire: &str) {
+        let outcome = read(wire);
+        assert!(
+            matches!(outcome, Step::Bad { status: 400, .. }),
+            "{wire:?} gave {outcome:?}"
+        );
+    }
+
+    #[test]
+    fn content_length_must_be_plain_digits() {
+        assert_rejected("POST / HTTP/1.1\r\nContent-Length: +2\r\n\r\nhi");
+        assert_rejected("POST / HTTP/1.1\r\nContent-Length: -0\r\n\r\n");
+        assert_rejected("POST / HTTP/1.1\r\nContent-Length: 2 2\r\n\r\nhi");
+        assert_rejected("POST / HTTP/1.1\r\nContent-Length:\r\n\r\n");
+        // Optional whitespace around the value is fine.
+        let Step::Request(request) = read("POST / HTTP/1.1\r\nContent-Length: \t2 \r\n\r\nhi")
+        else {
+            panic!("surrounding whitespace is OWS");
+        };
+        assert_eq!(request.body, b"hi");
+    }
+
+    #[test]
+    fn whitespace_before_a_header_colon_is_rejected() {
+        assert_rejected("POST / HTTP/1.1\r\nContent-Length : 2\r\n\r\nhi");
+        assert_rejected("POST / HTTP/1.1\r\nContent-Length\t: 2\r\n\r\nhi");
+        assert_rejected("GET / HTTP/1.1\r\nX-Other : y\r\n\r\n");
+    }
+
+    #[test]
+    fn header_lines_without_a_colon_are_rejected() {
+        // Skipped, this line would leave the POST bodiless and start the
+        // next request at "hi".
+        assert_rejected("POST / HTTP/1.1\r\nContent-Length 2\r\n\r\nhiGET / HTTP/1.1\r\n\r\n");
+        assert_rejected("GET / HTTP/1.1\r\nHost\r\n\r\n");
+    }
+
+    #[test]
+    fn folded_header_lines_are_rejected() {
+        assert_rejected("POST / HTTP/1.1\r\n Content-Length: 2\r\n\r\nhi");
+        assert_rejected("POST / HTTP/1.1\r\nX-A: b\r\n\tContent-Length: 2\r\n\r\nhi");
+        assert_rejected("GET / HTTP/1.1\r\nX-A: b\r\n  \r\n\r\n");
+        // Header names match in any case.
+        let Step::Request(request) = read("POST / HTTP/1.1\r\ncOnTeNt-LeNgTh: 2\r\n\r\nhi") else {
+            panic!("header names are case-insensitive");
+        };
+        assert_eq!(request.body, b"hi");
     }
 
     #[test]
@@ -728,6 +854,137 @@ mod tests {
         assert!(!text.contains("Content-Length"));
         assert!(text.contains("\r\n\r\nb\r\n{\"ratios\":[\r\n"));
         assert!(text.ends_with("7\r\n[1.0]]}\r\n0\r\n\r\n"));
+    }
+
+    /// The head encoders as they were written with `core::fmt`: the oracle
+    /// for the direct byte writes.
+    mod formatted {
+        use std::io::Write;
+
+        pub fn response(
+            status: u16,
+            body: &[u8],
+            keep_alive: bool,
+            retry_after_secs: Option<u32>,
+            request_id: u64,
+        ) -> Vec<u8> {
+            let mut out = Vec::new();
+            let reason = super::reason_phrase(status);
+            let connection = if keep_alive { "keep-alive" } else { "close" };
+            write!(
+                out,
+                "HTTP/1.1 {status} {reason}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: {connection}\r\nx-request-id: {request_id:016x}\r\n",
+                body.len()
+            )
+            .unwrap();
+            if let Some(seconds) = retry_after_secs {
+                write!(out, "Retry-After: {seconds}\r\n").unwrap();
+            }
+            out.extend_from_slice(b"\r\n");
+            out.extend_from_slice(body);
+            out
+        }
+
+        pub fn text_response(
+            status: u16,
+            body: &[u8],
+            keep_alive: bool,
+            request_id: u64,
+        ) -> Vec<u8> {
+            let mut out = Vec::new();
+            let reason = super::reason_phrase(status);
+            let connection = if keep_alive { "keep-alive" } else { "close" };
+            write!(
+                out,
+                "HTTP/1.1 {status} {reason}\r\nContent-Type: text/plain; version=0.0.4; charset=utf-8\r\nContent-Length: {}\r\nConnection: {connection}\r\nx-request-id: {request_id:016x}\r\n\r\n",
+                body.len()
+            )
+            .unwrap();
+            out.extend_from_slice(body);
+            out
+        }
+
+        pub fn stream_head(status: u16, keep_alive: bool, request_id: u64) -> Vec<u8> {
+            let mut out = Vec::new();
+            let reason = super::reason_phrase(status);
+            let connection = if keep_alive { "keep-alive" } else { "close" };
+            write!(
+                out,
+                "HTTP/1.1 {status} {reason}\r\nContent-Type: application/json\r\nTransfer-Encoding: chunked\r\nConnection: {connection}\r\nx-request-id: {request_id:016x}\r\n\r\n",
+            )
+            .unwrap();
+            out
+        }
+
+        pub fn chunk(data: &[u8]) -> Vec<u8> {
+            let mut out = Vec::new();
+            if !data.is_empty() {
+                write!(out, "{:x}\r\n", data.len()).unwrap();
+                out.extend_from_slice(data);
+                out.extend_from_slice(b"\r\n");
+            }
+            out
+        }
+    }
+
+    #[test]
+    fn direct_heads_match_the_formatted_ones() {
+        use gf_support::SplitMix64;
+        const KNOWN: [u16; 13] = [
+            200, 400, 404, 405, 408, 413, 422, 431, 500, 501, 503, 505, 299,
+        ];
+        let mut rng = SplitMix64::new(0x4EAD_5B17);
+        let payload: Vec<u8> = (0..70_000u32).map(|i| b'a' + (i % 26) as u8).collect();
+        for case in 0..5_000 {
+            let status = if rng.gen_bool() {
+                KNOWN[rng.gen_index(KNOWN.len())]
+            } else {
+                rng.gen_range_u64(0, u64::from(u16::MAX)) as u16
+            };
+            // Lengths of every digit count, from empty bodies up.
+            let digits = rng.gen_range_u64(0, 4) as u32;
+            let body = &payload[..rng.gen_range_u64(0, 10u64.pow(digits)) as usize];
+            let keep_alive = rng.gen_bool();
+            let retry = rng.gen_bool().then(|| match rng.gen_index(3) {
+                0 => 0,
+                1 => u32::MAX,
+                _ => rng.next_u64() as u32 >> rng.gen_index(32),
+            });
+            let request_id = match case % 3 {
+                0 => rng.next_u64(),
+                1 => rng.next_u64() >> rng.gen_index(64),
+                _ => [0, 1, u64::MAX][rng.gen_index(3)],
+            };
+            let mut out = b"kept".to_vec();
+            encode_response(&mut out, status, body, keep_alive, retry, request_id);
+            let expected = formatted::response(status, body, keep_alive, retry, request_id);
+            assert_eq!(out[4..], expected, "case {case}");
+            out.truncate(4);
+            encode_text_response(&mut out, status, body, keep_alive, request_id);
+            assert_eq!(
+                out[4..],
+                formatted::text_response(status, body, keep_alive, request_id),
+                "case {case}"
+            );
+            out.truncate(4);
+            encode_stream_head(&mut out, status, keep_alive, request_id);
+            assert_eq!(
+                out[4..],
+                formatted::stream_head(status, keep_alive, request_id)
+            );
+            out.truncate(4);
+            encode_chunk(&mut out, body);
+            assert_eq!(out[4..], formatted::chunk(body), "chunk of {}", body.len());
+        }
+        // Chunk sizes of every hex digit count.
+        for len in (0..16)
+            .map(|shift| 1usize << shift)
+            .chain([0xf, 0xff, 0xfff, 0xffff])
+        {
+            let mut out = Vec::new();
+            encode_chunk(&mut out, &payload[..len]);
+            assert_eq!(out, formatted::chunk(&payload[..len]), "chunk of {len}");
+        }
     }
 
     #[test]

@@ -364,7 +364,9 @@ pub(crate) fn error_body(error: &ApiError, out: &mut Vec<u8>) {
     error.encode_members(&mut writer);
     let request_id = gf_trace::current_request();
     if request_id != 0 {
-        writer.member(key!("request_id"), &format!("{request_id:016x}"));
+        let hex = crate::http::hex16(request_id);
+        let hex = std::str::from_utf8(&hex).expect("hex digits are ASCII");
+        writer.member(key!("request_id"), hex);
     }
     writer.end_object();
     writer
